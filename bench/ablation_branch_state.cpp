@@ -16,7 +16,9 @@
 //     (depth_bound × 4|V|) vs the trail's peak footprint plus the one live
 //     array — the quantity §IV-E must budget against global memory.
 // A second table compares wall time across the depth-first parallel
-// methods (StackOnly / Hybrid / WorkStealing) under both modes.
+// methods (StackOnly / Hybrid) under both modes. WorkStealing publishes
+// every neighbors child on its deque in either mode, so it is
+// mode-independent and gets one row.
 //
 //   ./ablation_branch_state [--scale smoke|default|large]
 
@@ -117,8 +119,8 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.render().c_str());
 
   // Depth-first parallel methods under both modes (same device model the
-  // other ablations use). Donations and steal advertisements still
-  // materialize snapshots, so the win here is the local descent only.
+  // other ablations use). Donations still materialize snapshots, so the win
+  // here is the local descent only. WorkStealing ignores the mode: one row.
   const parallel::Method kMethods[] = {parallel::Method::kStackOnly,
                                        parallel::Method::kHybrid,
                                        parallel::Method::kWorkStealing};
@@ -133,6 +135,9 @@ int main(int argc, char** argv) {
       double copy_wall = 0.0;
       bool copy_done = false;
       for (vc::BranchStateMode mode : vc::all_branch_state_modes()) {
+        const bool mode_independent =
+            method == parallel::Method::kWorkStealing;
+        if (mode_independent && mode != vc::BranchStateMode::kCopy) continue;
         parallel::ParallelConfig c =
             env.r().make_config(harness::ProblemInstance::kMvc, 0);
         c.semantics = vc::ReduceSemantics::kIncremental;
@@ -147,7 +152,9 @@ int main(int argc, char** argv) {
         }
         ptable.add_row(
             {name, parallel::method_name(method),
-             vc::branch_state_mode_name(mode), bench::cell(r),
+             mode_independent ? "mode-independent"
+                              : vc::branch_state_mode_name(mode),
+             bench::cell(r),
              r.limit_hit() ? ">limit" : util::format("%.3f", r.seconds),
              copy || r.limit_hit() || !copy_done || copy_wall <= 0.0
                  ? "-"

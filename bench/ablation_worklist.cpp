@@ -4,12 +4,6 @@
 // 1.32x slowdown for sub-optimal choices. The scaled sweep preserves the
 // threshold fractions and scales the capacities.
 //
-// A second sweep covers the OTHER work-distribution substrate: the
-// WorkStealing advertisement-rate policy over the Chase–Lev deques in
-// kUndoTrail mode. K = 0 (∞) is the lazy PR 4 rule — one stealable node per
-// block — and finite K advertises every K-th branch, trading snapshot
-// copies for steal availability on steal-heavy instances.
-//
 //   ./ablation_worklist [--scale smoke|default|large]
 
 #include <algorithm>
@@ -86,58 +80,5 @@ int main(int argc, char** argv) {
               "%.2fx (paper: 1.18x / 1.32x)\n\n",
               util::geomean(slowdowns), util::max_of(slowdowns));
 
-  // --- WorkStealing advertisement-rate sweep (kUndoTrail) -------------------
-
-  std::printf("Ablation: WorkStealing advertisement interval, kUndoTrail "
-              "(K=0 means lazy/infinity)\n\n");
-  const int kIntervals[] = {0, 1, 4, 16};
-
-  util::Table ws_table({"Instance", "K", "sim time (s)", "pushes", "steals",
-                        "attempts", "vs lazy"},
-                       {util::Align::kLeft, util::Align::kRight,
-                        util::Align::kRight, util::Align::kRight,
-                        util::Align::kRight, util::Align::kRight,
-                        util::Align::kRight});
-  if (env.csv)
-    env.csv->header({"instance", "advertise_interval", "sim_seconds",
-                     "pushes", "steals", "steal_attempts", "vs_lazy"});
-
-  for (const char* name : kInstances) {
-    const auto& inst = harness::find_instance(env.catalog, name);
-    struct WsCell {
-      int interval;
-      double t;
-      worklist::WorklistStats stats;
-    };
-    std::vector<WsCell> cells;
-    for (int interval : kIntervals) {
-      auto config = env.r().make_config(ProblemInstance::kMvc, 0);
-      config.branch_state = vc::BranchStateMode::kUndoTrail;
-      config.semantics = vc::ReduceSemantics::kIncremental;
-      config.advertise_interval = interval;
-      vc::SolveControl budget(env.runner_options.limits);
-      auto r = parallel::solve(inst.graph(), Method::kWorkStealing, config,
-                               &budget);
-      cells.push_back(
-          {interval,
-           bench::sim_or_budget(r, env.runner_options.limits.time_limit_s),
-           r.worklist});
-      std::fflush(stdout);
-    }
-    const double lazy = cells.front().t;  // K=0 first in kIntervals
-    for (const auto& c : cells) {
-      std::vector<std::string> row = {
-          name, util::format("%d", c.interval), util::format("%.3f", c.t),
-          util::format("%llu", static_cast<unsigned long long>(c.stats.adds)),
-          util::format("%llu", static_cast<unsigned long long>(c.stats.steals)),
-          util::format("%llu",
-                       static_cast<unsigned long long>(c.stats.steal_attempts)),
-          util::format("%.2fx", c.t / lazy)};
-      ws_table.add_row(row);
-      if (env.csv) env.csv->row(row);
-    }
-    ws_table.add_separator();
-  }
-  std::printf("%s\n", ws_table.render().c_str());
   return 0;
 }

@@ -43,6 +43,15 @@ double LaunchStats::makespan_seconds() const {
   return m;
 }
 
+double LaunchStats::cpu_imbalance() const {
+  double max = 0.0, sum = 0.0;
+  for (const auto& b : blocks) {
+    max = std::max(max, static_cast<double>(b.cpu_ns));
+    sum += static_cast<double>(b.cpu_ns);
+  }
+  return sum > 0.0 ? max * static_cast<double>(blocks.size()) / sum : 1.0;
+}
+
 util::ActivityAccumulator LaunchStats::merged_activities() const {
   util::ActivityAccumulator acc;
   for (const auto& b : blocks) acc.merge(b.activities);

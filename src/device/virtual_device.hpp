@@ -126,6 +126,10 @@ struct LaunchStats {
   /// recovers the parallel shape (see DESIGN.md §2).
   double makespan_seconds() const;
 
+  /// Block load imbalance: max over mean of blocks[].cpu_ns. 1.0 is a
+  /// perfectly even launch; 1.0 also when no block recorded CPU time.
+  double cpu_imbalance() const;
+
   /// Sum of all blocks' activity accumulators.
   util::ActivityAccumulator merged_activities() const;
 

@@ -2,6 +2,7 @@
 
 #include <istream>
 #include <map>
+#include <new>
 #include <ostream>
 #include <utility>
 
@@ -283,7 +284,15 @@ std::optional<CorpusRecord> CorpusReader::next_dimacs() {
   CorpusRecord rec;
   rec.index = next_index_;
   rec.line = start_line;
-  rec.graph = builder.build();
+  try {
+    rec.graph = builder.build();
+  } catch (const std::bad_alloc&) {
+    // A header within the cap can still declare more vertices than the
+    // process can allocate. The body is already consumed, so the stream
+    // sits at the next record boundary: one skip, and the stream goes on.
+    skip_record(header_line, "vertex count too large to allocate");
+    return std::nullopt;
+  }
   // In a stream, a body shorter than the header promises almost always
   // means the record was truncated — the strict form of the single-graph
   // reader's edge-count check (satellite 2) is the right default here.

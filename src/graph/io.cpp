@@ -6,6 +6,7 @@
 #include <istream>
 #include <limits>
 #include <map>
+#include <new>
 #include <ostream>
 #include <sstream>
 
@@ -57,6 +58,23 @@ IoError malformed(std::string what, long long line, bool at_end = false) {
   e.line = line;
   e.at_end = at_end;
   return e;
+}
+
+/// Builds the CSR at the end of a record. A header within the cap can still
+/// declare more vertices than the process can allocate (the offsets alone
+/// take 8 bytes per vertex); that failure is a property of the input, so it
+/// becomes an IoError pointing at the header line instead of an uncaught
+/// std::bad_alloc. Nothing is half-built: the builder is left untouched.
+IoResult<CsrGraph> build_or_error(const GraphBuilder& builder,
+                                  long long header_line) {
+  try {
+    return builder.build();
+  } catch (const std::bad_alloc&) {
+    return malformed(util::format("vertex count %lld too large to allocate",
+                                  static_cast<long long>(
+                                      builder.num_vertices())),
+                     header_line);
+  }
 }
 
 /// Fail-fast adapter for the legacy read_*() entry points: aborts with the
@@ -126,7 +144,8 @@ IoResult<CsrGraph> try_read_dimacs(std::istream& in, bool strict_edge_count) {
   }
   if (!have_header)
     return malformed("missing p line", line_no, /*at_end=*/true);
-  IoResult<CsrGraph> result(builder.build());
+  IoResult<CsrGraph> result = build_or_error(builder, header_line);
+  if (!result.ok()) return result;
   const long long body_edges =
       static_cast<long long>(result.value().num_edges());
   if (body_edges != mm) {
@@ -166,10 +185,12 @@ IoResult<CsrGraph> try_read_metis(std::istream& in) {
   // Header: skip comment lines starting with '%'.
   long long n = 0, m = 0, fmt = 0;
   bool have_header = false;
+  long long header_line = 0;
   while (std::getline(in, line)) {
     ++line_no;
     auto t = trim(line);
     if (t.empty() || t[0] == '%') continue;
+    header_line = line_no;
     auto fields = split_ws(t);
     if (fields.size() < 2) return malformed("short METIS header", line_no);
     if (!parse_int(fields[0], n) || !parse_int(fields[1], m) || n < 0)
@@ -200,7 +221,7 @@ IoResult<CsrGraph> try_read_metis(std::istream& in) {
   }
   if (v != n)
     return malformed("METIS file truncated", line_no, /*at_end=*/true);
-  return builder.build();
+  return build_or_error(builder, header_line);
 }
 
 CsrGraph read_metis(std::istream& in) {
@@ -254,6 +275,7 @@ IoResult<CsrGraph> try_read_matrix_market(std::istream& in) {
     return malformed("bad mtx size line", line_no);
   if (!header_count_ok(rows))
     return malformed("vertex count out of range", line_no);
+  const long long header_line = line_no;
   GraphBuilder builder(static_cast<Vertex>(rows));
   long long seen = 0;
   while (seen < entries && std::getline(in, line)) {
@@ -272,7 +294,7 @@ IoResult<CsrGraph> try_read_matrix_market(std::istream& in) {
   }
   if (seen != entries)
     return malformed("mtx file truncated", line_no, /*at_end=*/true);
-  return builder.build();
+  return build_or_error(builder, header_line);
 }
 
 CsrGraph read_matrix_market(std::istream& in) {
@@ -320,6 +342,7 @@ IoResult<CsrGraph> try_read_pace(std::istream& in) {
   std::string line;
   long long line_no = 0;
   bool have_header = false;
+  long long header_line = 0;
   long long n = 0, m = 0;
   GraphBuilder builder(0);
   while (std::getline(in, line)) {
@@ -340,6 +363,7 @@ IoResult<CsrGraph> try_read_pace(std::istream& in) {
         return malformed("vertex count out of range", line_no);
       builder = GraphBuilder(static_cast<Vertex>(n));
       have_header = true;
+      header_line = line_no;
       continue;
     }
     if (!have_header) return malformed("edge before p line", line_no);
@@ -354,7 +378,7 @@ IoResult<CsrGraph> try_read_pace(std::istream& in) {
   }
   if (!have_header)
     return malformed("missing p line", line_no, /*at_end=*/true);
-  return builder.build();
+  return build_or_error(builder, header_line);
 }
 
 CsrGraph read_pace(std::istream& in) { return value_or_die(try_read_pace(in)); }
@@ -394,7 +418,8 @@ IoResult<std::vector<Vertex>> try_read_pace_solution(std::istream& in) {
         return malformed("bad s line numbers", line_no);
       if (!header_count_ok(n))
         return malformed("vertex count out of range", line_no);
-      cover.reserve(static_cast<std::size_t>(k));
+      // No reserve(k): the cover grows with the lines actually read, so a
+      // lying header cannot demand memory the body never fills.
       have_header = true;
       continue;
     }

@@ -231,7 +231,6 @@ void encode_solve_request(std::vector<std::uint8_t>& out,
   w.u8(static_cast<std::uint8_t>(c.branch_state));
   w.u8(static_cast<std::uint8_t>(c.kernel_dispatch));
   w.u8(static_cast<std::uint8_t>(c.max_degree_backend));
-  w.i32(c.advertise_interval);
   w.i32(c.block_size_override);
   w.i32(c.grid_override);
   w.i32(c.start_depth);
@@ -295,7 +294,6 @@ bool decode_solve_request(const std::vector<std::uint8_t>& payload,
   if (backend > static_cast<std::uint8_t>(vc::MaxDegreeBackend::kBuckets))
     return false;
   c.max_degree_backend = static_cast<vc::MaxDegreeBackend>(backend);
-  c.advertise_interval = r.i32();
   c.block_size_override = r.i32();
   c.grid_override = r.i32();
   c.start_depth = r.i32();
@@ -311,9 +309,7 @@ bool decode_solve_request(const std::vector<std::uint8_t>& payload,
 
   // Semantic ceilings (see the constants above).
   if (c.problem == vc::Problem::kPvc && c.k < 0) return false;
-  if (c.advertise_interval < 0 || c.block_size_override < 0 ||
-      c.grid_override < 0)
-    return false;
+  if (c.block_size_override < 0 || c.grid_override < 0) return false;
   if (c.start_depth < 0 || c.start_depth > kMaxStartDepth) return false;
   if (c.worklist_capacity == 0 ||
       c.worklist_capacity > kMaxWorklistCapacity)

@@ -196,6 +196,16 @@ std::uint64_t Registry::counter_value(const std::string& name) const {
   return 0;
 }
 
+Histogram::Snapshot Registry::histogram_snapshot(
+    const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  Histogram::Snapshot merged;
+  if (auto it = histograms_.find(name); it != histograms_.end())
+    for (const auto& w : it->second.items)
+      if (auto h = w.lock()) merged.merge(h->snapshot());
+  return merged;
+}
+
 std::string Registry::prometheus_text() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::string out;

@@ -233,6 +233,10 @@ class Registry {
   /// Family sum for tests and tools; 0 if the name is unknown.
   std::uint64_t counter_value(const std::string& name) const;
 
+  /// Merged snapshot of a histogram family for tests and tools; empty if
+  /// the name is unknown.
+  Histogram::Snapshot histogram_snapshot(const std::string& name) const;
+
  private:
   struct CounterFamily {
     std::string help;

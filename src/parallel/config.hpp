@@ -88,9 +88,10 @@ struct ParallelConfig {
   /// vc::BranchStateMode). kUndoTrail (the default) backtracks by rolling
   /// an undo trail instead of restoring an O(|V|) copy and is bit-identical
   /// to kCopy; the paper-faithful harness pins kCopy (§IV-B's
-  /// self-contained nodes). GlobalOnly has no local descent and ignores
-  /// this. Execution policy only — results are identical by contract — so
-  /// like Limits it stays OUT of the result-cache key.
+  /// self-contained nodes). GlobalOnly has no local descent and
+  /// WorkStealing publishes every neighbors child on its deque, so both
+  /// ignore this. Execution policy only — results are identical by
+  /// contract — so like Limits it stays OUT of the result-cache key.
   vc::BranchStateMode branch_state = vc::BranchStateMode::kUndoTrail;
 
   /// Shape-specialized reduce kernels (see vc/reductions.hpp): each block
@@ -117,17 +118,6 @@ struct ParallelConfig {
   /// (the paper evaluates depths 8/12/16 on the full-size card; the scaled
   /// ablation sweeps 4/6/8/10).
   int start_depth = 6;
-
-  // --- WorkStealing ---
-  /// Advertisement rate policy for the kUndoTrail engine: in addition to
-  /// the lazy rule (snapshot the neighbors child onto the own deque only
-  /// when the deque is empty), advertise every K-th branch so thieves see
-  /// more than one stealable node per block on steal-heavy instances.
-  /// 0 = ∞ (lazy only) — node-for-node identical to any K large enough
-  /// never to fire, and the default. The optimum is unchanged, but finite
-  /// K reorders the traversal (different node counts and worklist stats),
-  /// so unlike branch_state it IS part of the result-cache key.
-  int advertise_interval = 0;
 
   // --- Hybrid ---
   /// Global worklist capacity in entries (the paper uses 128K-512K on a

@@ -12,6 +12,10 @@ namespace {
 // Process-wide solver-layer counters: the worklist substrate's per-solve
 // stats (already merged by each solver) and the solve/tree-node totals are
 // folded into the registry once per solve() — never on the node hot path.
+// The imbalance histogram takes one sample per launch of two or more
+// blocks (LaunchStats::cpu_imbalance). It reuses the seconds scale of
+// obs::Histogram so a scrape reads the ratio itself (3.2 = the busiest
+// block burned 3.2x the mean block's CPU time).
 struct SolverMetrics {
   std::shared_ptr<obs::Counter> solves;
   std::shared_ptr<obs::Counter> tree_nodes;
@@ -19,6 +23,7 @@ struct SolverMetrics {
   std::shared_ptr<obs::Counter> worklist_removes;
   std::shared_ptr<obs::Counter> worklist_steals;
   std::shared_ptr<obs::Counter> worklist_steal_attempts;
+  std::shared_ptr<obs::Histogram> imbalance_ratio;
 
   static const SolverMetrics& get() {
     static const SolverMetrics* m = new SolverMetrics{
@@ -34,6 +39,9 @@ struct SolverMetrics {
                                         "successful cross-block steals"),
         obs::Registry::global().counter("gvc_worklist_steal_attempts_total",
                                         "steal probes of non-empty victims"),
+        obs::Registry::global().histogram(
+            "gvc_solve_imbalance_ratio",
+            "per-launch max/mean block CPU time (launches of >= 2 blocks)"),
     };
     return *m;
   }
@@ -132,6 +140,8 @@ ParallelResult solve(const graph::CsrGraph& g, Method method,
     m.worklist_steals->add(result.worklist.steals);
   if (result.worklist.steal_attempts != 0)
     m.worklist_steal_attempts->add(result.worklist.steal_attempts);
+  if (result.launch.blocks.size() >= 2)
+    m.imbalance_ratio->observe_seconds(result.launch.cpu_imbalance());
   return result;
 }
 

@@ -15,10 +15,8 @@
 #include "parallel/shared_state.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
-#include "vc/branching.hpp"
 #include "vc/greedy.hpp"
 #include "vc/reductions.hpp"
-#include "vc/undo_trail.hpp"
 #include "worklist/device_broker.hpp"
 #include "worklist/steal_deque.hpp"
 
@@ -161,8 +159,8 @@ ParallelResult solve_work_stealing(const CsrGraph& g,
   std::atomic<std::uint64_t> steals_total{0};
   if (workspace) workspace->prepare(grid);
 
-  // Cross-device migration (steal tier 2): the node that would be
-  // advertised on the own deque is exported to the broker instead while a
+  // Cross-device migration (steal tier 2): the neighbors child that would
+  // be pushed on the own deque is exported to the broker instead while a
   // remote device is starved — Chase–Lev donation snapshots are already
   // detached, so crossing a device is the same contract as being stolen.
   std::optional<worklist::DeviceBroker::Group> steal_group;
@@ -175,145 +173,12 @@ ParallelResult solve_work_stealing(const CsrGraph& g,
   worklist::DeviceBroker::Group* migrate =
       steal_group.has_value() ? &*steal_group : nullptr;
 
-  // Apply/undo variant: the owner's depth-first descent runs on the trail,
-  // so deferred children are frames a thief cannot see. To keep the
-  // ensemble steal-able the owner ADVERTISES work lazily: whenever its own
-  // deque is empty at a branch, the neighbors child is materialized as a
-  // standalone snapshot and pushed — that child is the shallowest deferred
-  // node of the descent, exactly the one steal-the-oldest would take first
-  // under kCopy. Everything else stays O(changed) frames. With a single
-  // block the advertised node is always older than every frame, so the
-  // pop order (frames LIFO, then the deque) reproduces kCopy's traversal
-  // bit for bit; across blocks, steals are timing-dependent in both modes.
-  //
-  // The rate policy (config.advertise_interval = K > 0) additionally
-  // advertises every K-th branch even when the deque is non-empty, trading
-  // a few extra snapshots for steal availability on steal-heavy instances;
-  // K = 0 means ∞, i.e. the pure lazy rule above, and the interval counter
-  // then never fires — the two settings are node-for-node identical.
-  auto body_undo_trail = [&](device::BlockContext& ctx) {
-    const int id = ctx.block_id();
-    StealDeque& own = group.deque(id);
-    vc::DegreeArray da;
-    vc::DegreeArray snapshot;  // reusable advertisement buffer
-    vc::ReduceWorkspace local_ws;  // per-block reduce scratch (cold path)
-    vc::ReduceWorkspace& ws = workspace ? workspace->block(id) : local_ws;
-    vc::UndoTrail& trail = ws.undo_trail;
-    std::vector<vc::BranchFrame>& frames = ws.frames;
-    trail.reset();
-    frames.clear();
-    da.attach_trail(&trail);
-    NodeBatch nodes(shared);           // batched node accounting (limits)
-    device::NodeCounter visited(ctx);  // batched Fig. 5 node counting
-    bool enter = false;  // true while da holds an unprocessed node
-    std::uint64_t attempts = 0;
-    const int advertise_interval = config.advertise_interval;
-    std::int64_t branches_since_advert = 0;  // only counted when K > 0
-
-    for (;;) {
-      if (!mvc && shared.pvc_found()) break;
-      if (shared.aborted()) {
-        group.signal_stop();
-        break;
-      }
-
-      if (!enter) {
-        // Backtrack through the frames; once the descent is exhausted, take
-        // back the advertised node (if no thief got it first), else steal.
-        if (!vc::retreat_to_next_branch(trail, frames, g, da,
-                                        &ctx.activities())) {
-          trail.reset();
-          bool popped;
-          {
-            ActivityScope scope(ctx.activities(), Activity::kStackPop);
-            popped = own.try_pop_bottom(da);
-          }
-          if (!popped) {
-            std::uint64_t t0 = util::thread_cpu_ns();
-            StealGroup::StealOutcome out = group.steal(id, da, &attempts);
-            std::uint64_t elapsed = util::thread_cpu_ns() - t0;
-            if (out == StealGroup::StealOutcome::kDone) {
-              ctx.activities().add(Activity::kTerminate, elapsed);
-              break;
-            }
-            ctx.activities().add(Activity::kWorklistRemove, elapsed);
-            steals_total.fetch_add(1, std::memory_order_relaxed);
-            obs::trace_instant(obs::TraceCat::kWork, "steal", "attempts",
-                               static_cast<std::int64_t>(attempts));
-          }
-          adopt_node(config, da, ws);  // fresh standalone node (pop or steal)
-        }
-      }
-      enter = false;
-
-      Vertex vmax = -1;
-      NodeOutcome out =
-          process_node(g, config, shared, nodes, visited, ctx, da, ws, vmax);
-      if (out == NodeOutcome::kAbort) {
-        group.signal_stop();
-        break;
-      }
-      if (out == NodeOutcome::kFound && !mvc) {
-        group.signal_stop();
-        break;
-      }
-      if (out != NodeOutcome::kBranch) continue;  // enter stays false: backtrack
-
-      // Branch: advertise the neighbors child when nothing of ours is
-      // visible to thieves (or the rate policy fires), otherwise defer it
-      // as a frame; then continue immediately with the vmax child. A
-      // starved remote device outranks both: its demand materializes the
-      // snapshot even when local thieves are fed, and the child leaves the
-      // device entirely. An export that loses the race falls back to the
-      // local rules (including the capacity gate — the §IV-E bound covers
-      // the lazy rule, not an arbitrary advertisement backlog); with no
-      // room either, the child stays a frame.
-      bool advertised = false;
-      if (advertise_interval > 0) ++branches_since_advert;
-      const bool broker_wants = migrate != nullptr && migrate->want_export();
-      // The rate-fired advertisement is opportunistic: when the deque is
-      // already at capacity, keep the child as a frame instead. The size
-      // gate reads a stale top_, which only UNDER-reports free space, so a
-      // push it admits can never overflow.
-      const bool advertise_locally =
-          own.empty_approx() ||
-          (advertise_interval > 0 &&
-           branches_since_advert >= advertise_interval &&
-           own.size_approx() < own.capacity());
-      if (broker_wants || advertise_locally) {
-        {
-          ActivityScope scope(ctx.activities(), Activity::kRemoveNeighbors);
-          snapshot = da;
-          snapshot.remove_neighbors_into_solution(g, vmax);
-        }
-        if (broker_wants && migrate->try_export(std::move(snapshot))) {
-          obs::trace_instant(obs::TraceCat::kWork, "migrate");
-          advertised = true;
-          branches_since_advert = 0;
-        } else if (advertise_locally) {
-          {
-            ActivityScope scope(ctx.activities(), Activity::kStackPush);
-            own.push_bottom(std::move(snapshot));
-          }
-          group.notify();
-          advertised = true;
-          branches_since_advert = 0;
-        }
-      }
-      {
-        ActivityScope scope(ctx.activities(), Activity::kStackPush);
-        frames.push_back({trail.watermark(da), vmax, !advertised});
-      }
-      {
-        ActivityScope scope(ctx.activities(), Activity::kRemoveMaxVertex);
-        da.remove_into_solution(g, vmax);
-      }
-      enter = true;
-    }
-    steal_attempts_total.fetch_add(attempts, std::memory_order_relaxed);
-  };
-
-  auto body_copy = [&](device::BlockContext& ctx) {
+  // One block loop for both branch-state modes: like the paper's
+  // WorkStealing baseline, every branch materializes the neighbors child and
+  // publishes it on the own deque, so thieves always take the oldest
+  // (shallowest, largest) subtree; the owner continues on the vmax child.
+  // config.branch_state is ignored, as in GlobalOnly.
+  auto body = [&](device::BlockContext& ctx) {
     const int id = ctx.block_id();
     StealDeque& own = group.deque(id);
     vc::DegreeArray da;
@@ -398,13 +263,6 @@ ParallelResult solve_work_stealing(const CsrGraph& g,
       get_new_node = false;
     }
     steal_attempts_total.fetch_add(attempts, std::memory_order_relaxed);
-  };
-
-  auto body = [&](device::BlockContext& ctx) {
-    if (config.branch_state == vc::BranchStateMode::kUndoTrail)
-      body_undo_trail(ctx);
-    else
-      body_copy(ctx);
   };
 
   device::VirtualDevice dev(config.device);

@@ -8,6 +8,12 @@
 // entry from a victim's deque, scanning victims round-robin from their own
 // id.
 //
+// Every branch publishes its neighbors child on the owner's deque, in both
+// branch-state modes: config.branch_state is ignored, as in GlobalOnly. A
+// depth-first trail that kept deferred children private would let thieves
+// see only what the owner chose to snapshot, and steals would shrink to
+// ever-deeper slivers of the tree.
+//
 // Contrasts the benches draw against Hybrid:
 //  * Hybrid pays the broker queue's contention on every branch (the
 //    threshold check) but donation is push-based, so work spreads ahead of
@@ -28,9 +34,9 @@
 
 namespace gvc::parallel {
 
-/// `env` (optional): cross-device stealing — an advertised (or about-to-be
-/// advertised) neighbors child is exported to env->broker while a remote
-/// device is starved, and every migrated node is settled before the shared
+/// `env` (optional): cross-device stealing — the neighbors child a branch
+/// would push on the own deque is exported to env->broker instead while a
+/// remote device is starved, and every migrated node is settled before the shared
 /// search is harvested. Null env: exact single-device behavior.
 ParallelResult solve_work_stealing(const graph::CsrGraph& g,
                                    const ParallelConfig& config,

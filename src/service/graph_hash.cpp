@@ -82,11 +82,7 @@ std::uint64_t solve_config_hash(parallel::Method method,
   // config.max_degree_backend are skipped under the same contract: every
   // specialized reduce kernel and both max-degree backends produce
   // bit-identical trees (the dispatch differential suite enforces it), so
-  // neither knob changes the answer. config.advertise_interval does NOT get
-  // that exemption: finite K deterministically changes tree_nodes, the
-  // worklist counters, and possibly which optimal cover is returned, so
-  // records from different K values are distinct answers.
-  fold.add(static_cast<std::uint64_t>(config.advertise_interval));
+  // neither knob changes the answer.
   fold.add(static_cast<std::uint64_t>(config.block_size_override));
   fold.add(static_cast<std::uint64_t>(config.grid_override));
   fold.add(static_cast<std::uint64_t>(config.start_depth));

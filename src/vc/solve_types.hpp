@@ -47,11 +47,13 @@ enum class Problem {
 ///                per node. Traversal order, covers and node counts are
 ///                BIT-IDENTICAL to kCopy — the randomized differential
 ///                suite enforces this — and nodes that leave the owning
-///                block (worklist donations, steal advertisements) are
-///                materialized as standalone snapshots.
+///                block (worklist donations) are materialized as
+///                standalone snapshots.
 ///
 /// GlobalOnly ignores the mode: the strawman hands both children to the
 /// global worklist immediately, so there is no local descent to undo.
+/// WorkStealing ignores it too: every neighbors child is published on the
+/// block's steal deque, so the owner never defers a branch privately.
 enum class BranchStateMode : std::uint8_t { kCopy, kUndoTrail };
 
 const char* branch_state_mode_name(BranchStateMode m);

@@ -26,10 +26,11 @@
 // every solver.
 //
 // Sharing rule: the trail is private to the owning block. A node that
-// leaves the block — a global-worklist donation, a steal-deque
-// advertisement — must be materialized as a standalone snapshot (a plain
-// DegreeArray copy, which never inherits the trail attachment; see
-// DegreeArray's copy semantics).
+// leaves the block — a global-worklist donation, a cross-device export —
+// must be materialized as a standalone snapshot (a plain DegreeArray copy,
+// which never inherits the trail attachment; see DegreeArray's copy
+// semantics). WorkStealing has no trail engine: it publishes every
+// neighbors child on its deque, so nothing it defers is private.
 
 #include <algorithm>
 #include <cstdint>
@@ -137,7 +138,7 @@ class UndoTrail {
 /// before the vmax child was applied, the branching vertex, and whether the
 /// neighbors child still awaits exploration. neighbors_pending is false when
 /// that child left the block instead (donated to the global worklist or
-/// advertised on the steal deque).
+/// exported to another device).
 struct BranchFrame {
   UndoTrail::Mark mark;
   graph::Vertex vmax;

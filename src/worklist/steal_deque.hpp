@@ -66,8 +66,7 @@ class StealDeque {
 
   /// Entries currently held. Immediately stale under concurrency (and may
   /// transiently overcount while an owner pop is in flight); used by
-  /// thieves to skip obviously empty victims cheaply and by the owner's
-  /// lazy-advertisement gate.
+  /// thieves to skip obviously empty victims cheaply.
   int size_approx() const {
     const std::int64_t b = bottom_.load(std::memory_order_relaxed);
     const std::int64_t t = top_.load(std::memory_order_relaxed);
@@ -77,8 +76,8 @@ class StealDeque {
 
   /// Owner: push a node at the bottom (deepest end). Wait-free. Aborts on
   /// overflow — the §IV-E depth bound guarantees correct callers never
-  /// overflow. The rvalue overload moves into the pool slot; the trail
-  /// engines use it so an advertisement costs one array copy, not two.
+  /// overflow. The rvalue overload moves into the pool slot instead of
+  /// copying.
   void push_bottom(const vc::DegreeArray& node);
   void push_bottom(vc::DegreeArray&& node);
 

@@ -208,7 +208,7 @@ TEST(RandomDifferential, DispatchBitIdenticalOnSerializedDevice) {
 TEST(RandomDifferential, MultiBlockModesAgreeOnTheOptimum) {
   // Real concurrency: node counts are timing-dependent, so this sweep only
   // pins the answer — both modes must reach the same optimum with a valid
-  // cover while donations, steals and advertisements actually race.
+  // cover while donations and steals actually race.
   const int seeds = env_knob("GVC_DIFF_SEEDS", 60) / 20 + 2;
   for (const Family& family : kFamilies) {
     for (int size : kSizes) {

@@ -29,7 +29,7 @@ TEST(Protocol, SolveRequestRoundTrip) {
   m.config.start_depth = 9;
   m.config.worklist_capacity = 512;
   m.config.worklist_threshold_frac = 0.25;
-  m.config.advertise_interval = 4;
+  m.config.block_size_override = 128;
   m.limits.time_limit_s = 1.5;
   m.limits.max_tree_nodes = 1000;
   m.priority = -3;
@@ -51,7 +51,7 @@ TEST(Protocol, SolveRequestRoundTrip) {
   EXPECT_EQ(d.config.start_depth, 9);
   EXPECT_EQ(d.config.worklist_capacity, 512u);
   EXPECT_DOUBLE_EQ(d.config.worklist_threshold_frac, 0.25);
-  EXPECT_EQ(d.config.advertise_interval, 4);
+  EXPECT_EQ(d.config.block_size_override, 128);
   EXPECT_DOUBLE_EQ(d.limits.time_limit_s, 1.5);
   EXPECT_EQ(d.limits.max_tree_nodes, 1000u);
   EXPECT_EQ(d.priority, -3);
@@ -261,6 +261,31 @@ TEST(Protocol, SolveRequestRejectsOutOfRangeEnums) {
   std::vector<std::uint8_t> bad = payload;
   bad[9] = 0x7F;
   EXPECT_FALSE(decode_solve_request(bad, &d));
+}
+
+TEST(Protocol, OldLayoutSolveRequestRejected) {
+  // The solve request once carried an i32 WorkStealing advertisement
+  // interval right after the max-degree backend byte. A client still
+  // sending that layout produces a payload 4 bytes longer; it must be
+  // rejected as malformed, never misread or crash. With by_name=false the
+  // backend byte sits at offset 28 (u8 by_name, u64 graph_id, u8 method,
+  // u8 problem, i32 k, u8 semantics, u8 rules, u8 branch, u64 seed,
+  // u8 branch_state, u8 dispatch), so the old field started at 29.
+  SolveRequestMsg m;
+  m.config.k = 5;
+  std::vector<std::uint8_t> payload;
+  encode_solve_request(payload, m);
+  SolveRequestMsg d;
+  ASSERT_TRUE(decode_solve_request(payload, &d));
+
+  for (std::uint8_t interval : {0, 4}) {
+    std::vector<std::uint8_t> old_layout = payload;
+    const std::uint8_t field[4] = {interval, 0, 0, 0};
+    old_layout.insert(old_layout.begin() + 29, field, field + 4);
+    ASSERT_EQ(old_layout.size(), payload.size() + 4);
+    EXPECT_FALSE(decode_solve_request(old_layout, &d))
+        << "interval=" << int{interval};
+  }
 }
 
 TEST(Protocol, TruncationNeverCrashesAnyDecoder) {

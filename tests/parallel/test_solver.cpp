@@ -4,6 +4,7 @@
 
 #include "graph/generators.hpp"
 #include "graph/ops.hpp"
+#include "obs/metrics.hpp"
 #include "vc/oracle.hpp"
 
 namespace gvc::parallel {
@@ -159,6 +160,32 @@ TEST_P(AllMethodsTest, OptimumInvariantUnderBranchStrategy) {
     EXPECT_TRUE(graph::is_vertex_cover(g, r.cover))
         << vc::branch_strategy_name(strat);
   }
+}
+
+TEST(Solver, ImbalanceRatioRecordedOncePerMultiBlockLaunch) {
+  // gvc_solve_imbalance_ratio gets one sample per launch of >= 2 blocks:
+  // max over mean of the blocks' CPU time, so never below 1.0. Sequential
+  // runs no launch and records nothing.
+  const char* kName = "gvc_solve_imbalance_ratio";
+  auto g = graph::complement(graph::p_hat(26, 0.3, 0.8, 29));
+  ParallelConfig c;
+  c.grid_override = 4;
+
+  const obs::Histogram::Snapshot before =
+      obs::Registry::global().histogram_snapshot(kName);
+  ParallelResult r = solve(g, Method::kWorkStealing, c);
+  ASSERT_EQ(r.launch.blocks.size(), 4u);
+  const obs::Histogram::Snapshot after =
+      obs::Registry::global().histogram_snapshot(kName);
+  ASSERT_EQ(after.count, before.count + 1);
+  const double sample =
+      static_cast<double>(after.sum_ns - before.sum_ns) / 1e9;
+  EXPECT_GE(sample, 1.0);
+  EXPECT_LE(sample, 4.0);  // max/mean cannot exceed the block count
+
+  solve(g, Method::kSequential, c);
+  EXPECT_EQ(obs::Registry::global().histogram_snapshot(kName).count,
+            after.count);
 }
 
 }  // namespace

@@ -145,74 +145,26 @@ ParallelConfig serialized_config() {
   return c;
 }
 
-TEST(WorkStealing, AdvertiseEveryKYieldsOptimalCovers) {
-  // The rate policy only changes WHICH nodes thieves can see, never the
-  // answer: every interval must reach the optimum with a valid cover, on a
-  // dense (steal-heavy) and a sparse (reduction-heavy) instance.
+TEST(WorkStealing, BranchStateModesWalkTheSameTree) {
+  // WorkStealing publishes every neighbors child on its deque whatever the
+  // branch-state mode, so on the serialized device kCopy and kUndoTrail
+  // must visit the same tree and move the same nodes through the deque.
   for (const auto& g :
-       {graph::complement(graph::p_hat(26, 0.3, 0.8, 51)),
+       {graph::complement(graph::p_hat(28, 0.35, 0.85, 13)),
         graph::watts_strogatz(60, 4, 0.2, 9)}) {
-    vc::SequentialConfig sc;
-    const int opt = vc::solve_sequential(g, sc).best_size;
-    for (int k : {1, 2, 8}) {
-      ParallelConfig c = base_config(4);
-      c.advertise_interval = k;
-      ParallelResult r = solve_work_stealing(g, c);
-      EXPECT_EQ(r.best_size, opt) << "advertise_interval=" << k;
-      EXPECT_TRUE(graph::is_vertex_cover(g, r.cover))
-          << "advertise_interval=" << k;
-    }
+    ParallelConfig copy = serialized_config();
+    copy.branch_state = vc::BranchStateMode::kCopy;
+    ParallelConfig trail = serialized_config();
+    trail.branch_state = vc::BranchStateMode::kUndoTrail;
+
+    ParallelResult a = solve_work_stealing(g, copy);
+    ParallelResult b = solve_work_stealing(g, trail);
+    EXPECT_EQ(a.best_size, b.best_size);
+    EXPECT_EQ(a.tree_nodes, b.tree_nodes) << "tree shape diverged";
+    EXPECT_EQ(a.worklist.adds, b.worklist.adds);
+    EXPECT_EQ(a.worklist.removes, b.worklist.removes);
+    EXPECT_EQ(a.cover, b.cover);
   }
-}
-
-TEST(WorkStealing, AdvertiseIntervalInfinityMatchesLazyNodeForNode) {
-  // advertise_interval = 0 means ∞: by contract it is node-for-node
-  // identical to an interval too large ever to fire (the PR 4 lazy
-  // behavior). Exact comparison needs a deterministic schedule, hence the
-  // serialized single-block device.
-  auto g = graph::complement(graph::p_hat(28, 0.35, 0.85, 13));
-  ParallelConfig lazy = serialized_config();
-  ParallelConfig huge = serialized_config();
-  huge.advertise_interval = 1 << 29;
-
-  ParallelResult a = solve_work_stealing(g, lazy);
-  ParallelResult b = solve_work_stealing(g, huge);
-  EXPECT_EQ(a.best_size, b.best_size);
-  EXPECT_EQ(a.tree_nodes, b.tree_nodes) << "tree shape diverged";
-  EXPECT_EQ(a.worklist.adds, b.worklist.adds);
-  EXPECT_EQ(a.worklist.removes, b.worklist.removes);
-}
-
-TEST(WorkStealing, AdvertiseEveryBranchSnapshotsMoreAndStaysExact) {
-  // On the serialized device K=1 advertises at every branch, so the deque
-  // sees at least as many pushes as the lazy rule — and the traversal,
-  // though reordered, still visits an exhaustive tree: same optimum, and
-  // every push is consumed at drain.
-  auto g = graph::complement(graph::p_hat(26, 0.3, 0.8, 29));
-  ParallelConfig lazy = serialized_config();
-  ParallelConfig eager = serialized_config();
-  eager.advertise_interval = 1;
-
-  ParallelResult a = solve_work_stealing(g, lazy);
-  ParallelResult b = solve_work_stealing(g, eager);
-  EXPECT_EQ(a.best_size, b.best_size);
-  EXPECT_GE(b.worklist.adds, a.worklist.adds);
-  EXPECT_EQ(b.worklist.adds, b.worklist.removes);
-}
-
-TEST(WorkStealing, AdvertiseIntervalIgnoredInCopyMode) {
-  // kCopy pushes every child already; the knob must not disturb it.
-  auto g = graph::complement(graph::p_hat(26, 0.3, 0.8, 29));
-  ParallelConfig plain = serialized_config();
-  plain.branch_state = vc::BranchStateMode::kCopy;
-  ParallelConfig knobbed = plain;
-  knobbed.advertise_interval = 2;
-
-  ParallelResult a = solve_work_stealing(g, plain);
-  ParallelResult b = solve_work_stealing(g, knobbed);
-  EXPECT_EQ(a.best_size, b.best_size);
-  EXPECT_EQ(a.tree_nodes, b.tree_nodes);
-  EXPECT_EQ(a.worklist.adds, b.worklist.adds);
 }
 
 TEST(WorkStealingDeathTest, PvcRequiresK) {

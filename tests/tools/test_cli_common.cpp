@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
+
+#include "graph/corpus.hpp"
 
 namespace gvc::tools {
 namespace {
@@ -129,8 +132,7 @@ TEST(SolverFlags, AllFlagsLand) {
                              "--block-size", "128",
                              "--worklist-capacity", "512",
                              "--worklist-threshold", "0.25",
-                             "--start-depth", "3",
-                             "--advertise-interval", "7"});
+                             "--start-depth", "3"});
   ASSERT_TRUE(parse_solver_flags(args, &config));
   EXPECT_EQ(config.problem, vc::Problem::kPvc);
   EXPECT_EQ(config.k, 5);
@@ -144,7 +146,6 @@ TEST(SolverFlags, AllFlagsLand) {
   EXPECT_EQ(config.worklist_capacity, 512u);
   EXPECT_DOUBLE_EQ(config.worklist_threshold_frac, 0.25);
   EXPECT_EQ(config.start_depth, 3);
-  EXPECT_EQ(config.advertise_interval, 7);
 }
 
 TEST(SolverFlags, RejectsUnknownEnumNames) {
@@ -200,6 +201,45 @@ TEST(SpecLine, RejectsBadTokensWithReason) {
   EXPECT_NE(why.find("unknown token 'teleport'"), std::string::npos);
   // Null `why` must be tolerated.
   EXPECT_FALSE(try_parse_spec_line("g teleport", nullptr).has_value());
+}
+
+// ---------------------------------------------------------------------------
+// kToolMaxHeaderVertices
+// ---------------------------------------------------------------------------
+
+TEST(ToolHeaderCap, RejectsHeaderBombsInFilesAndCorpora) {
+  // Two-line files whose header declares two billion vertices: under the
+  // tools' cap they are diagnostics, never a 16 GB allocation.
+  const graph::Vertex prev =
+      graph::set_max_header_vertices(kToolMaxHeaderVertices);
+
+  std::istringstream dimacs("p edge 2000000000 1\ne 1 2\n");
+  auto d = graph::try_read_dimacs(dimacs);
+  std::istringstream pace("p td 2000000000 1\n1 2\n");
+  auto p = graph::try_read_pace(pace);
+
+  std::istringstream dimacs_stream(
+      "p edge 2000000000 1\ne 1 2\np edge 2 1\ne 1 2\n");
+  graph::CorpusReader dimacs_reader(dimacs_stream);
+  auto dimacs_next = dimacs_reader.next();
+  std::istringstream pace_stream("p td 2000000000 1\n1 2\np edge 2 1\ne 1 2\n");
+  graph::CorpusReader pace_reader(pace_stream);
+  auto pace_next = pace_reader.next();
+  graph::set_max_header_vertices(prev);
+
+  ASSERT_FALSE(d.ok());
+  EXPECT_EQ(d.error().what, "vertex count out of range");
+  ASSERT_FALSE(p.ok());
+  EXPECT_EQ(p.error().what, "vertex count out of range");
+  for (const auto* reader : {&dimacs_reader, &pace_reader}) {
+    ASSERT_EQ(reader->skips().size(), 1u);
+    EXPECT_EQ(reader->skips()[0].reason, "vertex count out of range");
+    EXPECT_EQ(reader->skips()[0].line, 1);
+  }
+  ASSERT_TRUE(dimacs_next.has_value());
+  EXPECT_EQ(dimacs_next->graph.num_vertices(), 2);
+  ASSERT_TRUE(pace_next.has_value());
+  EXPECT_EQ(pace_next->graph.num_vertices(), 2);
 }
 
 }  // namespace

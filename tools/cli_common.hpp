@@ -1,9 +1,9 @@
 #pragma once
 
 // tools/cli_common — flag and spec-line parsing shared by the CLI tools
-// (gvc_solve, gvc_serve, gvc_served, gvc_client), so the solver-shape
-// flags, the workload spec-line grammar, and the address/size parsers have
-// exactly one implementation. Everything here is try_parse_*-style: parse
+// (gvc_solve, gvc_serve, gvc_served, gvc_client, gvc_info), so the
+// solver-shape flags, the workload spec-line grammar, the address/size
+// parsers and the graph-header cap have exactly one implementation. Everything here is try_parse_*-style: parse
 // failures return std::nullopt / false (after printing a usage line where
 // noted) instead of aborting — tools exit 64, daemons refuse the request.
 
@@ -14,6 +14,7 @@
 #include <string>
 
 #include "graph/csr.hpp"
+#include "graph/io.hpp"
 #include "harness/catalog.hpp"
 #include "parallel/config.hpp"
 #include "parallel/solver.hpp"
@@ -28,6 +29,14 @@ inline std::shared_ptr<const graph::CsrGraph> borrow(
     const harness::Instance& inst) {
   return {std::shared_ptr<const graph::CsrGraph>(), &inst.graph()};
 }
+
+/// Header vertex cap the graph-reading tools pass to
+/// graph::set_max_header_vertices() before reading any file or corpus. The
+/// library default is the full Vertex range, so one header line such as
+/// `p edge 2000000000 1` could demand 16 GB of CSR offsets; at 2^24
+/// vertices a header costs at most 128 MiB of offsets plus as much scratch
+/// while the CSR is built.
+inline constexpr graph::Vertex kToolMaxHeaderVertices = graph::Vertex{1} << 24;
 
 // ---------------------------------------------------------------------------
 // Address and size parsers.
@@ -124,10 +133,10 @@ inline std::optional<parallel::Method> parse_method_flag(
 
 /// Parses the solver-shape flags every tool shares into `config`:
 /// --problem/--k, --branch, --branch-state, --kernel-dispatch,
-/// --max-degree, --advertise-interval, --seed, --grid, --block-size,
-/// --worklist-capacity, --worklist-threshold, --start-depth. Absent flags
-/// keep the config's current values as defaults. Prints the offending flag
-/// and returns false on unknown enum names.
+/// --max-degree, --seed, --grid, --block-size, --worklist-capacity,
+/// --worklist-threshold, --start-depth. Absent flags keep the config's
+/// current values as defaults. Prints the offending flag and returns false
+/// on unknown enum names.
 inline bool parse_solver_flags(const util::Args& args,
                                parallel::ParallelConfig* config) {
   if (args.has("problem")) {
@@ -185,8 +194,6 @@ inline bool parse_solver_flags(const util::Args& args,
     }
     config->max_degree_backend = *backend;
   }
-  config->advertise_interval = static_cast<int>(
-      args.get_int("advertise-interval", config->advertise_interval));
   config->branch_seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<long long>(config->branch_seed)));
   config->grid_override =

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 
+#include "cli_common.hpp"
 #include "graph/io.hpp"
 #include "graph/stats.hpp"
 #include "util/cli.hpp"
@@ -21,6 +22,7 @@
 int main(int argc, char** argv) {
   using namespace gvc;
   util::Args args(argc, argv);
+  graph::set_max_header_vertices(tools::kToolMaxHeaderVertices);
 
   if (args.positional().empty()) {
     std::fprintf(stderr, "usage: %s GRAPH [GRAPH...] [--bounds]\n",

@@ -31,11 +31,8 @@
 //   --no-partition         workers use the submitted device spec verbatim
 //   --scale S              smoke|default|large catalog scale (default smoke)
 //   --branch-state S       undotrail|copy backtracking for every job's
-//                          solve (default undotrail; identical results)
-//   --advertise-interval K WorkStealing jobs in undotrail mode: also
-//                          advertise the neighbors child every K-th branch
-//                          (default 0 = only when the own deque is empty;
-//                          part of the cache key — K reorders traversals)
+//                          solve (default undotrail; identical results;
+//                          globalonly and workstealing ignore it)
 //   --kernel-dispatch S    auto|generic reduce-kernel selection for every
 //                          job's solve (default auto; NOT part of the cache
 //                          key — all kernels produce identical results)
@@ -158,7 +155,7 @@ int main(int argc, char** argv) {
   base.limits.time_limit_s = args.get_double("time-limit", 0.0);
   base.deadline_s = args.get_double("deadline-ms", 0.0) * 1e-3;
   // Shared solver-shape flags (tools/cli_common.hpp): --branch-state,
-  // --kernel-dispatch, --max-degree, --advertise-interval and friends.
+  // --kernel-dispatch, --max-degree and friends.
   if (!tools::parse_solver_flags(args, &base.config)) return 64;
   const double cancel_after_ms = args.get_double("cancel-after-ms", 0.0);
   const double progress_every_s = args.get_double("progress-every", 0.0);

@@ -12,7 +12,8 @@
 //   --branch S           maxdegree|mindegree|random|first (default maxdegree)
 //   --branch-state S     undotrail|copy (default undotrail — O(changed)
 //                        apply/undo backtracking; copy is the paper's
-//                        copy-on-branch design; both produce the same tree)
+//                        copy-on-branch design; both produce the same tree;
+//                        globalonly and workstealing ignore it)
 //   --kernel-dispatch S  auto|generic (default auto — pick a reduce kernel
 //                        specialized for the block's degree width / density /
 //                        live-rule shape; generic forces the one-size
@@ -20,10 +21,6 @@
 //   --max-degree S       cachedhint|buckets (default cachedhint — PR 1's
 //                        lazily-tightened bound cache; buckets maintains
 //                        exact degree buckets; both return the same vertex)
-//   --advertise-interval K  WorkStealing + undotrail only: also advertise
-//                        the neighbors child every K-th branch so thieves
-//                        see more than the lazily-advertised node
-//                        (default 0 = only when the own deque is empty)
 //   --grid N             force the grid size (default: occupancy plan)
 //   --block-size N       force the block size in the §IV-E plan
 //   --worklist-capacity N   Hybrid/GlobalOnly queue entries (default 4096)
@@ -172,6 +169,7 @@ int run_corpus(util::Args& args, const parallel::ParallelConfig& config,
 int main(int argc, char** argv) {
   using namespace gvc;
   util::Args args(argc, argv);
+  graph::set_max_header_vertices(tools::kToolMaxHeaderVertices);
 
   if (args.positional().empty() && !args.has("corpus")) {
     std::fprintf(stderr, "usage: %s GRAPH [--method hybrid] [--problem mvc] "
