@@ -1,9 +1,11 @@
 // Reproduces Fig. 6: breakdown of Hybrid MVC kernel time into the eleven
 // instrumented activities — work distribution / load balancing (worklist
 // add+remove, stack push+pop, terminate), the three reduction rules, and
-// branching (find max degree, remove vmax, remove neighbors). Per-block
-// activity cycles are normalized within each block and averaged over blocks,
-// exactly as the paper measures with SM clocks.
+// branching (find max degree, remove vmax, remove neighbors). Activities are
+// charged as wall time on the monotonic clock (util::now_ns), the analog of
+// the SM cycle counter: waiting counts, as SM cycles spent waiting do.
+// Per-block activity time is normalized within each block and averaged over
+// blocks, exactly as the paper measures with SM clocks.
 //
 //   ./fig6_breakdown [--scale smoke|default|large]
 
@@ -68,9 +70,10 @@ int main(int argc, char** argv) {
               "branching %.1f%%\n",
               100 * distribution, 100 * reduction, 100 * branching);
 
-  // Work-weighted grouping: fractions of total instrumented CPU across all
-  // blocks and instances. Immune to the near-idle blocks of trivially small
-  // runs, whose whole budget is termination polling.
+  // Work-weighted grouping: fractions of total instrumented time across all
+  // blocks and instances. Dominated by the long runs, so the near-idle
+  // blocks of trivially small runs, whose whole budget is waiting, barely
+  // move it.
   double wd = 0, wr = 0, wb = 0;
   double wtotal = static_cast<double>(total_work.total_ns());
   if (wtotal > 0) {
@@ -87,9 +90,10 @@ int main(int argc, char** argv) {
               100 * wd, 100 * wr, 100 * wb);
   std::printf("Paper's shape: ~24%% distribution (worklist-remove dominant "
               "within it), ~65%% reduction rules (roughly even split), "
-              "~11%% branching (mostly remove-neighbors). On this substrate "
-              "waiting costs no CPU, so the distribution share is smaller on "
-              "busy instances; near-idle blocks on trivial instances inflate "
-              "the per-block Terminate column instead.\n");
+              "~11%% branching (mostly remove-neighbors). Waiting is charged "
+              "as on an SM, so near-idle blocks on trivial instances inflate "
+              "the per-block worklist-remove and Terminate columns; the "
+              "work-weighted split is the one to compare on busy "
+              "instances.\n");
   return 0;
 }

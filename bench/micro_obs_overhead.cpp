@@ -3,7 +3,7 @@
 // micro benches this one must not depend on google-benchmark, because it
 // runs in CI as the acceptance gate for the observability PR).
 //
-// Two measurements:
+// Three measurements:
 //
 //   1. Hook cost. A tight loop over trace_instant_sampled / a Counter add,
 //      in ns/op. With no session active the trace hook is one relaxed load
@@ -11,7 +11,14 @@
 //      modern; that number is the disabled-path cost every per-node solver
 //      hook pays.
 //
-//   2. Solve throughput. The same Hybrid solve on a catalog instance,
+//   2. Activity clock cost. An enabled util::ActivityScope (two reads of
+//      the activity clock plus one accumulator add), in ns/scope, against
+//      one util::thread_cpu_ns() read in the same run. Every reduce sweep
+//      and branch step opens a scope, so the scope must stay cheaper than a
+//      single read of the thread CPU clock (a syscall on Linux) — an in-run
+//      ratio, robust on noisy runners.
+//
+//   3. Solve throughput. The same Hybrid solve on a catalog instance,
 //      repeated for --reps wall-clock runs, in three modes: hooks off (no
 //      session — the production default), tracing on at the default 1-in-64
 //      sampling, and tracing on unsampled (sample_every=1, the worst
@@ -24,8 +31,10 @@
 //                      [--hook-iters N] [--out FILE] [--max-disabled-ns X]
 //
 // --out writes a machine-readable summary (BENCH_PR7.json at the repo root
-// is a committed capture). Exit 1 if the disabled-path hook cost exceeds
-// --max-disabled-ns (0 disables the gate).
+// is a committed capture, taken before the activity clock rows existed).
+// Exit 1 if the disabled-path hook cost exceeds --max-disabled-ns (0
+// disables that gate), or if an ActivityScope costs as much as one
+// thread_cpu_ns() read.
 
 #include <cstdint>
 #include <cstdio>
@@ -109,7 +118,25 @@ int main(int argc, char** argv) {
               instant_off_ns, counter_ns,
               static_cast<unsigned long long>(hook_iters));
 
-  // ---- 2: solve throughput under the three modes ---------------------------
+  // ---- 2: activity clock cost ----------------------------------------------
+  // Fewer iterations than the hooks: a thread CPU clock read costs hundreds
+  // of ns.
+  const std::uint64_t clock_iters = 1'000'000;
+  util::ActivityAccumulator acc;
+  const double scope_ns = hook_ns(clock_iters, [&](std::uint64_t) {
+    util::ActivityScope scope(acc, util::Activity::kFindMaxDegree);
+  });
+  volatile std::uint64_t clock_sink = 0;
+  const double cpu_read_ns = hook_ns(clock_iters, [&](std::uint64_t) {
+    clock_sink = clock_sink + util::thread_cpu_ns();
+  });
+  std::printf("activity clock: ActivityScope %.1f ns/scope, one "
+              "thread_cpu_ns() read %.1f ns  (%llu iters, %.3f s charged)\n",
+              scope_ns, cpu_read_ns,
+              static_cast<unsigned long long>(clock_iters),
+              static_cast<double>(acc.total_ns()) * 1e-9);
+
+  // ---- 3: solve throughput under the three modes ---------------------------
   const std::string inst_name = args.get("instance", "p_hat_300_1");
   const harness::Scale scale =
       harness::parse_scale(args.get("scale", "smoke"));
@@ -154,6 +181,8 @@ int main(int argc, char** argv) {
        << "  \"hook_iters\": " << hook_iters << ",\n"
        << "  \"trace_instant_disabled_ns\": " << instant_off_ns << ",\n"
        << "  \"counter_add_ns\": " << counter_ns << ",\n"
+       << "  \"activity_scope_ns\": " << scope_ns << ",\n"
+       << "  \"thread_cpu_read_ns\": " << cpu_read_ns << ",\n"
        << "  \"modes\": {\n";
     for (int i = 0; i < 3; ++i)
       os << "    \"" << modes[i].name << "\": {\"median_s\": "
@@ -171,6 +200,14 @@ int main(int argc, char** argv) {
                  "(budget %.1f ns) — the disabled path must stay one "
                  "relaxed load\n",
                  instant_off_ns, max_disabled_ns);
+    return 1;
+  }
+  if (scope_ns >= cpu_read_ns) {
+    std::fprintf(stderr,
+                 "FAIL: an ActivityScope costs %.1f ns, not less than one "
+                 "thread_cpu_ns() read (%.1f ns) — activities must be "
+                 "charged on the monotonic clock\n",
+                 scope_ns, cpu_read_ns);
     return 1;
   }
   return 0;

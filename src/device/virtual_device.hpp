@@ -30,8 +30,10 @@ struct BlockStats {
   int block_id = -1;
   int sm_id = -1;
   std::uint64_t nodes_visited = 0;
-  /// CPU nanoseconds the block's body consumed (thread CPU clock): the
-  /// block's share of its SM's cycles, independent of host scheduling.
+  /// CPU nanoseconds the block's body consumed (util::thread_cpu_ns, the
+  /// block makespan clock): the block's share of its SM's cycles,
+  /// independent of host scheduling. `activities` is charged on the
+  /// monotonic clock instead, so the two are not comparable.
   std::uint64_t cpu_ns = 0;
   util::ActivityAccumulator activities;
 };

@@ -19,17 +19,31 @@ BatchResult solve_batch(const std::vector<const graph::CsrGraph*>& graphs,
 
   util::WallTimer timer;
 
-  // Size the resident pool off the largest instance in the batch. The depth
-  // bound is the conservative |V|max (a search never branches deeper than
-  // the vertex count) — the plan only sizes slots here, it doesn't bound
-  // any real stack, and the per-graph greedy bounds aren't known until the
-  // blocks run.
+  // Size the resident pool off what the heaviest Sequential block holds: at
+  // most depth + 1 degree arrays of its graph (its copy-mode DFS stack; the
+  // undo-trail engine holds one), where the depth is at most min(|V|, |E|)
+  // because every branch puts a vertex of positive degree into the cover.
+  // The plan keys entries on the largest |V| and expresses that footprint as
+  // a stack depth in those entries, capped at what one resident block can
+  // hold: the plan only sizes host-thread slots, so a record heavier than
+  // the device's global memory runs at one slot instead of aborting.
   std::int64_t max_n = 1;
-  for (const auto* g : graphs)
-    max_n = std::max<std::int64_t>(max_n, g->num_vertices());
-  result.plan =
-      device::plan_launch(config.device, max_n, static_cast<int>(max_n) + 2,
-                          config.block_size_override);
+  std::int64_t heaviest_bytes = 0;
+  for (const auto* g : graphs) {
+    const std::int64_t n = g->num_vertices();
+    max_n = std::max(max_n, n);
+    heaviest_bytes = std::max(
+        heaviest_bytes, device::degree_array_bytes(n) *
+                            (std::min<std::int64_t>(n, g->num_edges()) + 2));
+  }
+  const std::int64_t entry = device::degree_array_bytes(max_n);
+  const std::int64_t depth =
+      std::clamp<std::int64_t>((heaviest_bytes + entry - 1) / entry, 1,
+                               std::max<std::int64_t>(
+                                   config.device.global_mem_bytes / entry, 1));
+  result.plan = device::plan_launch(config.device, max_n,
+                                    static_cast<int>(depth),
+                                    config.block_size_override);
   const int grid = static_cast<int>(graphs.size());
   // Default residency: the §IV-E occupancy plan, additionally capped at the
   // HOST's core count. `plan` records the simulated device's residency

@@ -91,9 +91,9 @@ ParallelResult solve_global_only(const CsrGraph& g,
           da = std::move(spill.back());
           spill.pop_back();
         } else {
-          std::uint64_t t0 = util::thread_cpu_ns();
+          std::uint64_t t0 = util::now_ns();
           GlobalWorklist::RemoveOutcome out = worklist.remove(da);
-          std::uint64_t elapsed = util::thread_cpu_ns() - t0;
+          std::uint64_t elapsed = util::now_ns() - t0;
           if (out == GlobalWorklist::RemoveOutcome::kDone) {
             ctx.activities().add(Activity::kTerminate, elapsed);
             return;

@@ -116,9 +116,9 @@ ParallelResult solve_hybrid(const CsrGraph& g, const ParallelConfig& config,
         if (!vc::retreat_to_next_branch(trail, frames, g, da,
                                         &ctx.activities())) {
           trail.reset();
-          std::uint64_t t0 = util::thread_cpu_ns();
+          std::uint64_t t0 = util::now_ns();
           GlobalWorklist::RemoveOutcome out = worklist.remove(da);
-          std::uint64_t elapsed = util::thread_cpu_ns() - t0;
+          std::uint64_t elapsed = util::now_ns() - t0;
           if (out == GlobalWorklist::RemoveOutcome::kDone) {
             ctx.activities().add(Activity::kTerminate, elapsed);
             return;
@@ -217,12 +217,11 @@ ParallelResult solve_hybrid(const CsrGraph& g, const ParallelConfig& config,
         if (popped) {
           adopt_node(config, da, ws);  // fresh standalone node
         } else {
-          // CPU time, like every activity: contention/polling cost is
-          // charged, sleep-waiting is free (an idle SM). See EXPERIMENTS.md
-          // for how this maps onto the paper's Fig. 6 waiting share.
-          std::uint64_t t0 = util::thread_cpu_ns();
+          // Wall time on the activity clock, like every activity: the whole
+          // wait is charged, as SM cycles spent waiting are in Fig. 6.
+          std::uint64_t t0 = util::now_ns();
           GlobalWorklist::RemoveOutcome out = worklist.remove(da);
-          std::uint64_t elapsed = util::thread_cpu_ns() - t0;
+          std::uint64_t elapsed = util::now_ns() - t0;
           if (out == GlobalWorklist::RemoveOutcome::kDone) {
             // Waiting that ends in termination is charged to "Terminate".
             ctx.activities().add(Activity::kTerminate, elapsed);

@@ -207,9 +207,9 @@ ParallelResult solve_work_stealing(const CsrGraph& g,
           // Cross-block traffic is charged like worklist removal so the
           // Fig. 6-style breakdown compares load-balancing overheads
           // across methods one-to-one.
-          std::uint64_t t0 = util::thread_cpu_ns();
+          std::uint64_t t0 = util::now_ns();
           StealGroup::StealOutcome out = group.steal(id, da, &attempts);
-          std::uint64_t elapsed = util::thread_cpu_ns() - t0;
+          std::uint64_t elapsed = util::now_ns() - t0;
           if (out == StealGroup::StealOutcome::kDone) {
             ctx.activities().add(Activity::kTerminate, elapsed);
             break;

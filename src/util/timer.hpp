@@ -5,8 +5,10 @@
 // ActivityAccumulator mirrors how the paper instruments its kernels (§V-D):
 // each thread block records, per activity, the number of "SM clock" cycles
 // spent; breakdowns are normalized per block then averaged. Here the clock is
-// std::chrono::steady_clock in nanoseconds, which plays the role of the SM
-// cycle counter.
+// now_ns() (std::chrono::steady_clock, a vDSO read of a few tens of ns),
+// which plays the role of the SM cycle counter: every activity charge goes
+// through it, so an activity is wall time on the monotonic clock, waiting
+// included, like cycles on an SM.
 
 #include <array>
 #include <chrono>
@@ -34,7 +36,8 @@ class WallTimer {
   Clock::time_point start_;
 };
 
-/// Monotonic nanosecond timestamp (wall clock).
+/// Monotonic nanosecond timestamp (wall clock). The only clock that charges
+/// Fig. 6 activities (ActivityScope and the block loops' wait charges).
 inline std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -42,10 +45,12 @@ inline std::uint64_t now_ns() {
           .count());
 }
 
-/// Nanoseconds of CPU time consumed by the calling thread. This is the
-/// substrate's "SM clock": it charges a thread block only for work it
-/// actually executed, so measurements are immune to host oversubscription
-/// (a descheduled block accrues nothing, exactly like an idle SM).
+/// Nanoseconds of CPU time consumed by the calling thread: the block makespan
+/// clock. VirtualDevice::launch reads it twice per block to charge the block
+/// only for work it actually executed, so the simulated makespan is immune
+/// to host oversubscription (a descheduled block accrues nothing, exactly
+/// like an idle SM). A syscall (no vDSO path, hundreds of ns), so nothing
+/// on a per-node path may call it.
 std::uint64_t thread_cpu_ns();
 
 /// Activities instrumented in the MVC/PVC kernels, matching Fig. 6 of the
@@ -91,13 +96,13 @@ class ActivityAccumulator {
   std::array<std::uint64_t, kNumActivities> ns_;
 };
 
-/// RAII scope that charges the calling thread's CPU time over its lifetime
-/// to one activity of an accumulator (see thread_cpu_ns for why CPU time).
+/// RAII scope that charges the elapsed monotonic time (now_ns) over its
+/// lifetime to one activity of an accumulator.
 class ActivityScope {
  public:
   ActivityScope(ActivityAccumulator& acc, Activity a)
-      : acc_(acc), activity_(a), start_(thread_cpu_ns()) {}
-  ~ActivityScope() { acc_.add(activity_, thread_cpu_ns() - start_); }
+      : acc_(acc), activity_(a), start_(now_ns()) {}
+  ~ActivityScope() { acc_.add(activity_, now_ns() - start_); }
 
   ActivityScope(const ActivityScope&) = delete;
   ActivityScope& operator=(const ActivityScope&) = delete;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "graph/corpus.hpp"
 #include "graph/generators.hpp"
 #include "parallel/solver.hpp"
 #include "vc/solve_types.hpp"
@@ -89,6 +92,48 @@ TEST(SolveBatch, OneBlockPerGraphWithPooledSlots) {
   EXPECT_LE(ws.block_count(), static_cast<std::size_t>(
                                   config.device.max_resident_blocks()));
   EXPECT_LT(ws.block_count(), corpus.size());
+}
+
+// A corpus stream holding a 20k-vertex, one-edge record beside a small one
+// used to abort in plan_launch: the batch planned every block for a
+// |V|max-deep stack of degree arrays (1.6 GB against a 1 GB device). A
+// Sequential block on that record holds three arrays, so the batch solves.
+TEST(SolveBatch, SparseWideRecordPlansFromWhatBlocksHold) {
+  std::istringstream stream("p edge 3 2\ne 1 2\ne 2 3\n"
+                            "p edge 20000 1\ne 1 2\n");
+  graph::CorpusReader reader(stream);
+  std::vector<graph::CsrGraph> corpus;
+  while (auto rec = reader.next()) corpus.push_back(std::move(rec->graph));
+  ASSERT_EQ(corpus.size(), 2u);
+  ASSERT_EQ(corpus[1].num_vertices(), 20000);
+
+  ParallelConfig config;
+  config.device = device::DeviceSpec::host_scaled();
+  BatchResult batch = solve_batch(views(corpus), config);
+  EXPECT_GT(batch.plan.block_size, 0);
+  EXPECT_GT(batch.plan.grid_size, 0);
+  ASSERT_EQ(batch.results.size(), 2u);
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    EXPECT_EQ(batch.results[i].outcome, vc::Outcome::kOptimal) << i;
+    EXPECT_EQ(batch.results[i].best_size, 1) << i;
+    vc::check_result(corpus[i], batch.results[i]);
+  }
+}
+
+// A record whose footprint exceeds the device's global memory still runs,
+// at one resident slot: the batch plan never aborts the process.
+TEST(SolveBatch, RecordHeavierThanDeviceMemoryStillSolves) {
+  std::vector<graph::CsrGraph> corpus;
+  corpus.push_back(graph::random_tree(400, 7));
+  ParallelConfig config;
+  config.device = device::DeviceSpec::host_scaled();
+  // 401 degree arrays of 1.6 KB exceed a 64 KB device; one array fits.
+  config.device.global_mem_bytes = 64 * 1024;
+  BatchResult batch = solve_batch(views(corpus), config);
+  EXPECT_EQ(batch.plan.grid_size, 1);
+  ASSERT_EQ(batch.results.size(), 1u);
+  EXPECT_EQ(batch.results[0].outcome, vc::Outcome::kOptimal);
+  vc::check_result(corpus[0], batch.results[0]);
 }
 
 TEST(SolveBatch, GridOverrideCapsResidency) {
