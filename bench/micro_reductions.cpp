@@ -1,13 +1,12 @@
 // Micro-benchmarks (google-benchmark) for the per-node kernel work of
 // Fig. 6: the three reduction rules (serial vs parallel-sweep semantics),
-// finding the max-degree vertex, and the two branch-removal operations.
+// finding the maximum-degree vertex, and the two branch-removal operations.
 
 #include <benchmark/benchmark.h>
 
 #include "graph/generators.hpp"
 #include "graph/ops.hpp"
 #include "vc/degree_array.hpp"
-#include "vc/degree_buckets.hpp"
 #include "vc/greedy.hpp"
 #include "vc/kernel_dispatch.hpp"
 #include "vc/reductions.hpp"
@@ -95,9 +94,8 @@ BENCHMARK(BM_Reduce_ChildAfterBranch)
 // ---- kernel dispatch: per-specialization sweep ---------------------------
 //
 // One shape class per row, generic vs dispatched kernels on the SAME child
-// state: the classifier picks the u8/u16 degree-width variant and (for the
-// domination check elsewhere) the density arm, so the delta is pure kernel
-// specialization. Classes: sparse-u8 (grid-like, degrees tiny), dense-u8
+// state: the classifier picks the u8/u16 degree-width variant and the
+// live-rule mask, so the delta is pure kernel specialization. Classes: sparse-u8 (grid-like, degrees tiny), dense-u8
 // (complemented p_hat at 200, degrees < 256), dense-u16 (same family at 800,
 // degrees past the u8 boundary).
 graph::CsrGraph shape_class_graph(std::int64_t cls) {
@@ -147,55 +145,6 @@ void BM_Reduce_Dispatch(benchmark::State& state) {
                  (state.range(1) == 0 ? "/generic" : "/dispatched"));
 }
 BENCHMARK(BM_Reduce_Dispatch)->ArgsProduct({{0, 1, 2}, {0, 1}});
-
-// The domination rule's three subset-check arms: kGeneric pins the binary
-// probe; kAuto selects merge-scan on the sparse class and the bitset row on
-// the dense classes. The incremental axis additionally seeds candidates
-// from the dirty log instead of scanning all |V|.
-void BM_Domination(benchmark::State& state) {
-  auto g = shape_class_graph(state.range(0));
-  const auto dispatch = state.range(1) == 0 ? vc::KernelDispatch::kGeneric
-                                            : vc::KernelDispatch::kAuto;
-  const auto semantics = state.range(2) == 0
-                             ? vc::ReduceSemantics::kSerial
-                             : vc::ReduceSemantics::kIncremental;
-  vc::ReduceWorkspace ws;
-  for (auto _ : state) {
-    vc::DegreeArray da(g);
-    benchmark::DoNotOptimize(
-        vc::apply_domination(g, da, semantics, &ws, dispatch));
-  }
-  state.SetLabel(std::string(shape_class_label(state.range(0))) +
-                 (state.range(1) == 0 ? "/binary" :
-                  state.range(0) == 0 ? "/merge" : "/bitset") +
-                 (state.range(2) == 0 ? "/serial" : "/incremental"));
-}
-BENCHMARK(BM_Domination)->ArgsProduct({{0, 1, 2}, {0, 1}, {0, 1}});
-
-// Max-degree backends head to head on a full branch-drain loop: the cached
-// bound/hint scan (amortized rescans) vs the bucketed structure (O(1)
-// updates, exact answers). Same smallest-id answers by contract.
-void BM_MaxDegreeBackend(benchmark::State& state) {
-  auto g = shape_class_graph(state.range(0));
-  const bool use_buckets = state.range(1) != 0;
-  vc::DegreeBuckets buckets;
-  for (auto _ : state) {
-    vc::DegreeArray da(g);
-    if (use_buckets) {
-      buckets.build(da);
-      da.attach_buckets(&buckets);
-    }
-    for (;;) {
-      const graph::Vertex v = da.max_degree_vertex();
-      if (v < 0 || da.degree(v) == 0) break;
-      da.remove_into_solution(g, v);
-    }
-    benchmark::DoNotOptimize(da.solution_size());
-  }
-  state.SetLabel(std::string(shape_class_label(state.range(0))) +
-                 (use_buckets ? "/buckets" : "/cached-hint"));
-}
-BENCHMARK(BM_MaxDegreeBackend)->ArgsProduct({{0, 1, 2}, {0, 1}});
 
 void BM_Rule_DegreeOne(benchmark::State& state) {
   auto g = graph::power_grid(static_cast<graph::Vertex>(state.range(0)), 0.3, 7);

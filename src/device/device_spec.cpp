@@ -4,15 +4,25 @@
 
 namespace gvc::device {
 
+const char* DeviceSpec::invalid_reason() const {
+  if (num_sms <= 0) return "device needs num_sms > 0";
+  if (max_threads_per_block <= 0)
+    return "device needs max_threads_per_block > 0";
+  if (max_threads_per_sm < max_threads_per_block)
+    return "device needs max_threads_per_sm >= max_threads_per_block";
+  if (max_blocks_per_sm <= 0) return "device needs max_blocks_per_sm > 0";
+  if (shared_mem_per_sm_bytes <= 0) return "device needs shared_mem_per_sm > 0";
+  if (shared_mem_per_block_bytes <= 0)
+    return "device needs shared_mem_per_block > 0";
+  if (shared_mem_per_block_bytes > shared_mem_per_sm_bytes)
+    return "device needs shared_mem_per_block <= shared_mem_per_sm";
+  if (global_mem_bytes <= 0) return "device needs global_mem_bytes > 0";
+  return nullptr;
+}
+
 void DeviceSpec::validate() const {
-  GVC_CHECK(num_sms > 0);
-  GVC_CHECK(max_threads_per_block > 0);
-  GVC_CHECK(max_threads_per_sm >= max_threads_per_block);
-  GVC_CHECK(max_blocks_per_sm > 0);
-  GVC_CHECK(shared_mem_per_sm_bytes > 0);
-  GVC_CHECK(shared_mem_per_block_bytes > 0);
-  GVC_CHECK(shared_mem_per_block_bytes <= shared_mem_per_sm_bytes);
-  GVC_CHECK(global_mem_bytes > 0);
+  const char* why = invalid_reason();
+  GVC_CHECK_MSG(why == nullptr, why);
 }
 
 DeviceSpec DeviceSpec::v100() {

@@ -48,8 +48,12 @@ struct DeviceSpec {
     return static_cast<std::int64_t>(num_sms) * max_threads_per_sm;
   }
 
-  /// Aborts if any field is inconsistent (non-positive, or per-block shared
-  /// memory above per-SM capacity).
+  /// The first inconsistent field (non-positive, or a per-block limit above
+  /// its per-SM capacity), or nullptr for a usable spec. The non-aborting
+  /// check for specs from untrusted sources.
+  const char* invalid_reason() const;
+
+  /// Aborts, naming the field, on any spec invalid_reason() refuses.
   void validate() const;
 
   // Presets. v100() mirrors the paper's evaluation card; the others exist

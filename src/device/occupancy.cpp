@@ -133,14 +133,20 @@ std::int64_t degree_array_bytes(std::int64_t num_vertices) {
   return num_vertices * 4 + 16;
 }
 
-LaunchPlan plan_launch(const DeviceSpec& spec, std::int64_t num_vertices,
-                       int stack_depth, int force_block_size) {
-  spec.validate();
-  GVC_CHECK(num_vertices >= 0);
-  GVC_CHECK(stack_depth >= 0);
-  GVC_CHECK(force_block_size >= 0);
-  GVC_CHECK_MSG(force_block_size <= spec.max_threads_per_block,
-                "forced block size exceeds hardware limit");
+std::optional<LaunchPlan> try_plan_launch(const DeviceSpec& spec,
+                                          std::int64_t num_vertices,
+                                          int stack_depth,
+                                          int force_block_size,
+                                          const char** why) {
+  const auto refuse = [why](const char* reason) -> std::optional<LaunchPlan> {
+    *why = reason;
+    return std::nullopt;
+  };
+  if (const char* invalid = spec.invalid_reason()) return refuse(invalid);
+  if (num_vertices < 0 || stack_depth < 0 || force_block_size < 0)
+    return refuse("negative plan input");
+  if (force_block_size > spec.max_threads_per_block)
+    return refuse("forced block size exceeds hardware limit");
 
   LaunchPlan shared = plan_variant(spec, KernelVariant::kSharedMem,
                                    num_vertices, stack_depth, force_block_size);
@@ -151,13 +157,22 @@ LaunchPlan plan_launch(const DeviceSpec& spec, std::int64_t num_vertices,
   LaunchPlan global = plan_variant(spec, KernelVariant::kGlobalMem,
                                    num_vertices, stack_depth, force_block_size);
   if (shared.block_size == 0) {
-    GVC_CHECK_MSG(global.block_size > 0,
-                  "graph too large for device global memory");
+    if (global.block_size == 0)
+      return refuse("graph too large for device global memory");
     return global;
   }
   if (global.full_occupancy || global.grid_size > shared.grid_size)
     return global;
   return shared;  // neither reaches full occupancy; prefer fast shared mem
+}
+
+LaunchPlan plan_launch(const DeviceSpec& spec, std::int64_t num_vertices,
+                       int stack_depth, int force_block_size) {
+  const char* why = nullptr;
+  const std::optional<LaunchPlan> plan =
+      try_plan_launch(spec, num_vertices, stack_depth, force_block_size, &why);
+  GVC_CHECK_MSG(plan.has_value(), why);
+  return *plan;
 }
 
 }  // namespace gvc::device

@@ -19,6 +19,7 @@
 //                        global-memory kernel variant.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "device/device_spec.hpp"
@@ -55,5 +56,15 @@ std::int64_t degree_array_bytes(std::int64_t num_vertices);
 /// size / variant / occupancy flags are derived.
 LaunchPlan plan_launch(const DeviceSpec& spec, std::int64_t num_vertices,
                        int stack_depth, int force_block_size = 0);
+
+/// The non-aborting twin of plan_launch, for untrusted inputs: the plan, or
+/// nullopt with `*why` naming the precondition plan_launch aborts on (an
+/// invalid spec, a negative input, a forced block size above the hardware
+/// limit, or a stack that fits no block in global memory).
+std::optional<LaunchPlan> try_plan_launch(const DeviceSpec& spec,
+                                          std::int64_t num_vertices,
+                                          int stack_depth,
+                                          int force_block_size,
+                                          const char** why);
 
 }  // namespace gvc::device

@@ -6,15 +6,6 @@ namespace gvc::net {
 
 namespace {
 
-/// Sanity ceilings for untrusted solve configs: generous enough for any
-/// legitimate request, tight enough that a hostile frame cannot drive the
-/// occupancy planner or worklist allocation into absurd allocations or
-/// GVC_CHECK aborts inside the daemon.
-constexpr std::int32_t kMaxStartDepth = 24;
-constexpr std::uint64_t kMaxWorklistCapacity = std::uint64_t{1} << 24;
-constexpr std::int32_t kMaxDeviceSms = 1 << 16;
-constexpr std::int32_t kMaxDeviceThreads = 1 << 20;
-
 void encode_device(ByteWriter& w, const device::DeviceSpec& d) {
   // The spec's display name is cosmetic (not part of the config hash); the
   // daemon substitutes its own label on decode.
@@ -230,7 +221,6 @@ void encode_solve_request(std::vector<std::uint8_t>& out,
   w.u64(c.branch_seed);
   w.u8(static_cast<std::uint8_t>(c.branch_state));
   w.u8(static_cast<std::uint8_t>(c.kernel_dispatch));
-  w.u8(static_cast<std::uint8_t>(c.max_degree_backend));
   w.i32(c.block_size_override);
   w.i32(c.grid_override);
   w.i32(c.start_depth);
@@ -290,10 +280,6 @@ bool decode_solve_request(const std::vector<std::uint8_t>& payload,
   if (dispatch > static_cast<std::uint8_t>(vc::KernelDispatch::kAuto))
     return false;
   c.kernel_dispatch = static_cast<vc::KernelDispatch>(dispatch);
-  const std::uint8_t backend = r.u8();
-  if (backend > static_cast<std::uint8_t>(vc::MaxDegreeBackend::kBuckets))
-    return false;
-  c.max_degree_backend = static_cast<vc::MaxDegreeBackend>(backend);
   c.block_size_override = r.i32();
   c.grid_override = r.i32();
   c.start_depth = r.i32();
@@ -308,7 +294,7 @@ bool decode_solve_request(const std::vector<std::uint8_t>& payload,
   if (!r.done()) return false;
 
   // Semantic ceilings (see the constants above).
-  if (c.problem == vc::Problem::kPvc && c.k < 0) return false;
+  if (c.problem == vc::Problem::kPvc && c.k <= 0) return false;
   if (c.block_size_override < 0 || c.grid_override < 0) return false;
   if (c.start_depth < 0 || c.start_depth > kMaxStartDepth) return false;
   if (c.worklist_capacity == 0 ||

@@ -134,6 +134,20 @@ bool decode_graph_ack(const std::vector<std::uint8_t>& payload,
 // relative deadline) that maps 1:1 onto service::JobSpec.
 // ---------------------------------------------------------------------------
 
+/// Sanity ceilings for untrusted solve configs: generous enough for any
+/// legitimate request, tight enough that a hostile frame cannot drive the
+/// planner or worklist into absurd allocations. decode_solve_request
+/// enforces the first four; the server plans each request against its
+/// graph and device (parallel::check_solve) before submitting it.
+inline constexpr std::int32_t kMaxStartDepth = 24;
+inline constexpr std::uint64_t kMaxWorklistCapacity = std::uint64_t{1} << 24;
+inline constexpr std::int32_t kMaxDeviceSms = 1 << 16;
+inline constexpr std::int32_t kMaxDeviceThreads = 1 << 20;
+/// Most host threads one solve request may start. A cooperative grid runs
+/// one per block (grid_override, or the plan's resident count); a pooled
+/// StackOnly launch runs one per resident slot. The server refuses more.
+inline constexpr int kMaxSolveThreads = 256;
+
 struct SolveRequestMsg {
   /// Graph reference: a previously uploaded id, or a named catalog instance
   /// at the daemon's catalog scale.

@@ -12,8 +12,10 @@
 #include <cstring>
 
 #include "obs/trace.hpp"
+#include "parallel/solver.hpp"
 #include "service/graph_hash.hpp"
 #include "util/log.hpp"
+#include "util/strings.hpp"
 #include "util/timer.hpp"
 
 namespace gvc::net {
@@ -564,6 +566,24 @@ void Server::handle_solve(Connection& c, const Frame& f) {
   spec.limits = msg.limits;
   spec.priority = msg.priority;
   spec.deadline_s = msg.deadline_s;
+
+  // Refuse what the solve would abort on, or more host threads than one
+  // request may start, judged on the device the job will run on.
+  parallel::ParallelConfig executed = spec.config;
+  executed.device = service_.executed_device(spec);
+  int threads = 0;
+  if (const char* why =
+          parallel::check_solve(*spec.graph, spec.method, executed, &threads)) {
+    send_error(c, f.request_id, ErrorCode::kBadPayload, why);
+    return;
+  }
+  if (threads > kMaxSolveThreads) {
+    send_error(c, f.request_id, ErrorCode::kNotAllowed,
+               util::format("solve would start %d threads (limit %d)",
+                            threads, kMaxSolveThreads));
+    return;
+  }
+
   service::JobTicket ticket = service_.submit(std::move(spec));
   solves_total_->add();
 

@@ -27,7 +27,7 @@ namespace gvc::obs {
 
 enum class Phase : int {
   kReduce = 0,  // the three reduction rules
-  kBranch,      // max-degree scan, branch application, stack bookkeeping
+  kBranch,      // maximum-degree scan, branch application, stack bookkeeping
   kSteal,       // worklist traffic: donations, removals, steals
   kCache,       // result-cache writes on the worker path
   kIdle,        // queue-pop waits + in-launch termination waiting

@@ -3,6 +3,7 @@
 // Configuration and result types shared by the two GPU-style solvers.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "device/device_spec.hpp"
@@ -42,9 +43,10 @@ class SolveWorkspace {
 
   /// Releases per-block scratch beyond `max_blocks`. Long-lived owners
   /// (service workers) call this between jobs so one huge-grid job — e.g.
-  /// StackOnly at start_depth 16 = 65536 blocks, each holding |V|-sized
-  /// buffers — doesn't pin its pool for the owner's lifetime. The first
-  /// `max_blocks` entries stay warm for the common resident-grid sizes.
+  /// a cooperative grid_override of thousands of blocks, each holding
+  /// |V|-sized buffers — doesn't pin its pool for the owner's lifetime.
+  /// The first `max_blocks` entries stay warm for the common resident-grid
+  /// sizes.
   void trim(int max_blocks) {
     if (blocks_.size() > static_cast<std::size_t>(max_blocks)) {
       blocks_.resize(static_cast<std::size_t>(max_blocks));
@@ -101,11 +103,6 @@ struct ParallelConfig {
   /// key.
   vc::KernelDispatch kernel_dispatch = vc::KernelDispatch::kAuto;
 
-  /// max_degree_vertex() backend (see vc/degree_buckets.hpp). Both backends
-  /// return the same smallest-id argmax, so this too is execution policy
-  /// and stays out of the cache key.
-  vc::MaxDegreeBackend max_degree_backend = vc::MaxDegreeBackend::kCachedHint;
-
   /// Force a block size in the occupancy plan (0 = let §IV-E choose).
   int block_size_override = 0;
 
@@ -133,8 +130,7 @@ struct ParallelConfig {
 /// place that mapping lives — dispatch_solve's kSequential arm and the
 /// batch solver (one Sequential engine per block) both use it, so a field
 /// added to both configs cannot be silently dropped in one path. (Before
-/// this helper existed, the solver.cpp copy dropped kernel_dispatch and
-/// max_degree_backend.)
+/// this helper existed, the solver.cpp copy dropped kernel_dispatch.)
 inline vc::SequentialConfig sequential_config_of(const ParallelConfig& config) {
   vc::SequentialConfig sc;
   sc.problem = config.problem;
@@ -145,9 +141,32 @@ inline vc::SequentialConfig sequential_config_of(const ParallelConfig& config) {
   sc.branch_seed = config.branch_seed;
   sc.branch_state = config.branch_state;
   sc.kernel_dispatch = config.kernel_dispatch;
-  sc.max_degree_backend = config.max_degree_backend;
   return sc;
 }
+
+/// What a block solver launches: the §IV-E plan, the grid, and the host
+/// threads the grid runs on.
+struct BlockLaunch {
+  device::LaunchPlan plan;
+  int depth_bound = 0;  ///< search stack entries per block
+  int grid = 0;         ///< blocks launched
+  int threads = 0;      ///< host threads: the whole grid when cooperative,
+                        ///< the plan's resident slots when pooled
+};
+
+/// Plans a block-solver launch; a block's stack holds greedy_size + 2
+/// entries for MVC, k + 2 for PVC. `pooled` is StackOnly's 2^start_depth
+/// blocks drained by the plan's resident slots; otherwise the grid is
+/// cooperative: grid_override, or the plan's resident count. Returns
+/// nullopt with `*why` set when the config cannot launch. The solvers plan
+/// through plan_block_launch, which aborts on exactly these conditions.
+std::optional<BlockLaunch> try_plan_block_launch(const ParallelConfig& config,
+                                                 bool pooled,
+                                                 std::int64_t num_vertices,
+                                                 int greedy_size,
+                                                 const char** why);
+BlockLaunch plan_block_launch(const ParallelConfig& config, bool pooled,
+                              std::int64_t num_vertices, int greedy_size);
 
 struct ParallelResult : vc::SolveResult {
   device::LaunchPlan plan;

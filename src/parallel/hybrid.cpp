@@ -36,20 +36,18 @@ ParallelResult solve_hybrid(const CsrGraph& g, const ParallelConfig& config,
   ParallelResult result;
 
   const bool mvc = config.problem == vc::Problem::kMvc;
-  GVC_CHECK_MSG(mvc || config.k > 0, "PVC requires k > 0");
 
   vc::GreedyResult greedy = vc::greedy_mvc(g);
   result.greedy_upper_bound = greedy.size;
-  const int depth_bound = (mvc ? greedy.size : config.k) + 2;
 
-  result.plan = device::plan_launch(config.device, g.num_vertices(),
-                                    depth_bound, config.block_size_override);
+  const BlockLaunch launch = plan_block_launch(
+      config, /*pooled=*/false, g.num_vertices(), greedy.size);
+  result.plan = launch.plan;
+  const int depth_bound = launch.depth_bound;
 
   // Persistent grid: every block participates in the termination protocol,
   // so the grid size is exactly the resident-block count.
-  const int grid =
-      config.grid_override > 0 ? config.grid_override : result.plan.grid_size;
-  GVC_CHECK(grid > 0);
+  const int grid = launch.grid;
 
   SharedSearch shared(config.problem, config.k, greedy.size,
                       std::move(greedy.cover), control);
@@ -124,7 +122,7 @@ ParallelResult solve_hybrid(const CsrGraph& g, const ParallelConfig& config,
             return;
           }
           ctx.activities().add(Activity::kWorklistRemove, elapsed);
-          adopt_node(config, da, ws);  // adopted a donated node
+          adopt_node(da, ws);  // adopted a donated node
         }
       }
       enter = false;
@@ -215,7 +213,7 @@ ParallelResult solve_hybrid(const CsrGraph& g, const ParallelConfig& config,
           popped = stack.try_pop(da);
         }
         if (popped) {
-          adopt_node(config, da, ws);  // fresh standalone node
+          adopt_node(da, ws);  // fresh standalone node
         } else {
           // Wall time on the activity clock, like every activity: the whole
           // wait is charged, as SM cycles spent waiting are in Fig. 6.
@@ -228,7 +226,7 @@ ParallelResult solve_hybrid(const CsrGraph& g, const ParallelConfig& config,
             return;
           }
           ctx.activities().add(Activity::kWorklistRemove, elapsed);
-          adopt_node(config, da, ws);  // adopted a donated node
+          adopt_node(da, ws);  // adopted a donated node
         }
       }
 

@@ -24,14 +24,13 @@ enum class NodeOutcome { kAbort, kPruned, kFound, kBranch };
 
 /// A block picked up a root or donated node (worklist removal, steal, stack
 /// pop): invalidate the workspace's cached KernelTag so the next reduce()
-/// re-classifies for the adopted lineage, and rebuild/re-attach the degree
-/// buckets when that max-degree backend is selected. Every pickup site of
-/// the four block solvers calls this — it is the "connection time" of the
-/// dispatch design (see vc/kernel_dispatch.hpp).
-inline void adopt_node(const ParallelConfig& config, vc::DegreeArray& da,
+/// re-classifies for the adopted lineage. Every pickup site of the four
+/// block solvers calls this — it is the "connection time" of the dispatch
+/// design (see vc/kernel_dispatch.hpp).
+inline void adopt_node(const vc::DegreeArray& da,
                        vc::ReduceWorkspace& workspace) {
   obs::trace_instant(obs::TraceCat::kWork, "adopt", "edges", da.num_edges());
-  vc::adopt_node(da, workspace, config.max_degree_backend);
+  vc::adopt_node(workspace);
 }
 
 /// One visit: account the node against the shared limits, reduce, stopping
@@ -119,7 +118,7 @@ inline void drain_subtree(const graph::CsrGraph& g,
 
     vc::DegreeArray da = std::move(stack.back());
     stack.pop_back();
-    adopt_node(config, da, ws);
+    adopt_node(da, ws);
 
     graph::Vertex vmax = -1;
     NodeOutcome out =

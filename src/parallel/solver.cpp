@@ -1,9 +1,12 @@
 #include "parallel/solver.hpp"
 
+#include <algorithm>
+
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/check.hpp"
 #include "util/strings.hpp"
+#include "vc/greedy.hpp"
 
 namespace gvc::parallel {
 
@@ -120,6 +123,33 @@ ParallelResult dispatch_solve(const graph::CsrGraph& g, Method method,
 }
 
 }  // namespace
+
+const char* check_solve(const graph::CsrGraph& g, Method method,
+                        const ParallelConfig& config, int* threads) {
+  *threads = 1;
+  if (method == Method::kSequential) return nullptr;
+  const auto plan = [&](int greedy_size, const char** why) {
+    return try_plan_block_launch(config, method == Method::kStackOnly,
+                                 g.num_vertices(), greedy_size, why);
+  };
+  const char* why = nullptr;
+  std::optional<BlockLaunch> launch = plan(0, &why);  // exact for PVC
+  // MVC's stack follows the greedy cover, whose size lies in
+  // [0, min(|V|, |E|)]. A deeper stack only shrinks what plans and how many
+  // blocks stay resident, so when both ends of that range plan with equal
+  // thread counts, the solver's launch matches them and the greedy pass
+  // (quadratic at worst, on the caller's thread) is skipped.
+  if (launch && config.problem == vc::Problem::kMvc) {
+    const auto widest = static_cast<int>(
+        std::min<std::int64_t>(g.num_vertices(), g.num_edges()));
+    const std::optional<BlockLaunch> deepest = plan(widest, &why);
+    if (!deepest || deepest->threads != launch->threads)
+      launch = plan(vc::greedy_mvc(g).size, &why);
+  }
+  if (!launch) return why;
+  *threads = launch->threads;
+  return nullptr;
+}
 
 ParallelResult solve(const graph::CsrGraph& g, Method method,
                      const ParallelConfig& config, vc::SolveControl* control,

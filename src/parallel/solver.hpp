@@ -68,4 +68,13 @@ ParallelResult solve(const graph::CsrGraph& g, Method method,
                      SolveWorkspace* workspace = nullptr,
                      const StealEnv* env = nullptr);
 
+/// Checks an untrusted request against the device it will run on, without
+/// aborting: nullptr if `method` can plan its launch for `g` under `config`,
+/// else the reason solve() would abort. On success `*threads` is the host
+/// threads the launch starts (1 for Sequential, which plans no grid). A
+/// block method is planned exactly as its solver plans it; for MVC that
+/// costs a greedy pass over `g` only when the stack depth decides it.
+const char* check_solve(const graph::CsrGraph& g, Method method,
+                        const ParallelConfig& config, int* threads);
+
 }  // namespace gvc::parallel

@@ -31,26 +31,27 @@ ParallelResult solve_stack_only(const CsrGraph& g,
   ParallelResult result;
 
   const bool mvc = config.problem == vc::Problem::kMvc;
-  GVC_CHECK_MSG(mvc || config.k > 0, "PVC requires k > 0");
-  GVC_CHECK(config.start_depth >= 0 && config.start_depth < 24);
 
   // Greedy approximation on the CPU (§II-B): seeds `best` and bounds the
   // local stack depth (§IV-E).
   vc::GreedyResult greedy = vc::greedy_mvc(g);
   result.greedy_upper_bound = greedy.size;
-  const int depth_bound = (mvc ? greedy.size : config.k) + 2;
 
-  result.plan = device::plan_launch(config.device, g.num_vertices(),
-                                    depth_bound, config.block_size_override);
+  // One block per depth-D branch pattern, drained by the plan's resident
+  // slots. grid_override is not meaningful here: the grid is structurally
+  // 2^start_depth.
+  const BlockLaunch launch = plan_block_launch(
+      config, /*pooled=*/true, g.num_vertices(), greedy.size);
+  result.plan = launch.plan;
+  const int depth_bound = launch.depth_bound;
 
   SharedSearch shared(config.problem, config.k, greedy.size,
                       std::move(greedy.cover), control);
 
-  // One block per depth-D branch pattern. grid_override is not meaningful
-  // here: the grid is structurally 2^start_depth.
-  const int grid = 1 << config.start_depth;
   const Vertex n = g.num_vertices();
-  if (workspace) workspace->prepare(grid);
+  // Scratch is keyed on the resident slot, not the block, so the pool
+  // stays resident-sized however deep the start frontier is.
+  if (workspace) workspace->prepare(launch.threads);
 
   auto body = [&](device::BlockContext& ctx) {
     if (shared.aborted()) return;
@@ -62,8 +63,8 @@ ParallelResult solve_stack_only(const CsrGraph& g,
     vc::DegreeArray da(g);
     vc::ReduceWorkspace local_ws;  // per-block reduce scratch (cold path)
     vc::ReduceWorkspace& ws =
-        workspace ? workspace->block(ctx.block_id()) : local_ws;
-    adopt_node(config, da, ws);        // root pickup
+        workspace ? workspace->block(ctx.slot_id()) : local_ws;
+    adopt_node(da, ws);                // root pickup
     NodeBatch nodes(shared);           // batched node accounting (limits)
     device::NodeCounter visited(ctx);  // batched Fig. 5 node counting
     Vertex vmax = -1;
@@ -122,7 +123,7 @@ ParallelResult solve_stack_only(const CsrGraph& g,
           ActivityScope scope(ctx.activities(), Activity::kStackPop);
           if (!stack.try_pop(da)) break;  // sub-tree exhausted
         }
-        adopt_node(config, da, ws);  // fresh standalone node
+        adopt_node(da, ws);  // fresh standalone node
       }
       if (!mvc && shared.pvc_found()) return;
 
@@ -152,7 +153,7 @@ ParallelResult solve_stack_only(const CsrGraph& g,
 
   device::VirtualDevice dev(config.device);
   result.launch =
-      dev.launch(grid, /*cooperative=*/false, body, result.plan.grid_size);
+      dev.launch(launch.grid, /*cooperative=*/false, body, launch.threads);
 
   static_cast<vc::SolveResult&>(result) = shared.harvest();
   result.greedy_upper_bound = greedy.size;

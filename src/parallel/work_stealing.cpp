@@ -134,17 +134,15 @@ ParallelResult solve_work_stealing(const CsrGraph& g,
   ParallelResult result;
 
   const bool mvc = config.problem == vc::Problem::kMvc;
-  GVC_CHECK_MSG(mvc || config.k > 0, "PVC requires k > 0");
 
   vc::GreedyResult greedy = vc::greedy_mvc(g);
   result.greedy_upper_bound = greedy.size;
-  const int depth_bound = (mvc ? greedy.size : config.k) + 2;
 
-  result.plan = device::plan_launch(config.device, g.num_vertices(),
-                                    depth_bound, config.block_size_override);
-  const int grid =
-      config.grid_override > 0 ? config.grid_override : result.plan.grid_size;
-  GVC_CHECK(grid > 0);
+  const BlockLaunch launch = plan_block_launch(
+      config, /*pooled=*/false, g.num_vertices(), greedy.size);
+  result.plan = launch.plan;
+  const int depth_bound = launch.depth_bound;
+  const int grid = launch.grid;
 
   SharedSearch shared(config.problem, config.k, greedy.size,
                       std::move(greedy.cover), control);
@@ -219,7 +217,7 @@ ParallelResult solve_work_stealing(const CsrGraph& g,
           obs::trace_instant(obs::TraceCat::kWork, "steal", "attempts",
                              static_cast<std::int64_t>(attempts));
         }
-        adopt_node(config, da, ws);  // fresh standalone node (pop or steal)
+        adopt_node(da, ws);  // fresh standalone node (pop or steal)
       }
 
       Vertex vmax = -1;

@@ -187,6 +187,28 @@ int SolveService::shard_of(const CacheKey& key) const {
   return home_shard(key, static_cast<int>(queues_.size()));
 }
 
+namespace {
+
+/// The cache key of `spec` as submitted, before the device pin: what routes
+/// the job to its home shard.
+CacheKey submitted_key(const JobSpec& spec) {
+  CacheKey key;
+  key.graph_hash = canonical_graph_hash(*spec.graph);
+  key.num_vertices = spec.graph->num_vertices();
+  key.num_edges = spec.graph->num_edges();
+  key.config_hash = solve_config_hash(spec.method, spec.config);
+  return key;
+}
+
+}  // namespace
+
+const device::DeviceSpec& SolveService::executed_device(
+    const JobSpec& spec) const {
+  if (!options_.partition_device) return spec.config.device;
+  return worker_devices_[static_cast<std::size_t>(
+      shard_of(submitted_key(spec)))];
+}
+
 JobTicket SolveService::submit(JobSpec spec) {
   GVC_CHECK_MSG(spec.graph != nullptr, "JobSpec.graph must be set");
   submitted_->add();
@@ -198,11 +220,7 @@ JobTicket SolveService::submit(JobSpec spec) {
   // config that actually ran, or a cache sharer with a different worker
   // layout would be served records produced under a device its key never
   // encoded.
-  CacheKey key;
-  key.graph_hash = canonical_graph_hash(*spec.graph);
-  key.num_vertices = spec.graph->num_vertices();
-  key.num_edges = spec.graph->num_edges();
-  key.config_hash = solve_config_hash(spec.method, spec.config);
+  CacheKey key = submitted_key(spec);
   const int shard = shard_of(key);
   if (options_.partition_device) {
     spec.config.device = worker_devices_[static_cast<std::size_t>(shard)];

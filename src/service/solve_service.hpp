@@ -226,6 +226,10 @@ class SolveService {
   /// valid — rejected submissions carry a terminal kRejected state.
   JobTicket submit(JobSpec spec);
 
+  /// The device submit(spec) would run the job on (its home worker's slice
+  /// under partition_device), for checking a request before submitting it.
+  const device::DeviceSpec& executed_device(const JobSpec& spec) const;
+
   /// Admits a batch in order; returns one ticket per spec.
   std::vector<JobTicket> submit_all(std::vector<JobSpec> specs);
 

@@ -22,8 +22,8 @@ const char* activity_name(Activity a) {
     case Activity::kDegreeTwoTriangleRule: return "Degree-two-triangle rule";
     case Activity::kHighDegreeRule:        return "High-degree rule";
     case Activity::kFindMaxDegree:         return "Find max degree vertex";
-    case Activity::kRemoveMaxVertex:       return "Remove max-degree vertex";
-    case Activity::kRemoveNeighbors:       return "Remove neighbors of max-degree vertex";
+    case Activity::kRemoveMaxVertex:       return "Remove maximum-degree vertex";
+    case Activity::kRemoveNeighbors:       return "Remove neighbors of maximum-degree vertex";
     case Activity::kCount:                 break;
   }
   return "?";

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/check.hpp"
-#include "vc/degree_buckets.hpp"
 #include "vc/undo_trail.hpp"
 
 namespace gvc::vc {
@@ -24,18 +23,17 @@ DegreeArray::DegreeArray(const CsrGraph& g)
   max_bound_ = best < 0 ? 0 : best;
 }
 
-// The 2x2x2 specialization keeps the hot loop free of per-neighbor branches:
-// the tracking, trail and buckets tests are hoisted to one dispatch per
-// call, so the paper-faithful configuration (no tracking, no trail, no
-// buckets) runs the exact loop it always did.
-template <bool kTrack, bool kTrail, bool kBuckets>
+// The 2x2 specialization keeps the hot loop free of per-neighbor branches:
+// the tracking and trail tests are hoisted to one dispatch per call, so the
+// paper-faithful configuration (no tracking, no trail) runs the exact loop
+// it always did.
+template <bool kTrack, bool kTrail>
 void DegreeArray::decrement_neighbors(const CsrGraph& g, Vertex v) {
   for (Vertex u : g.neighbors(v)) {
     auto& d = deg_[static_cast<std::size_t>(u)];
     if (d == kInSolution) continue;
     if constexpr (kTrail) trail_.get()->record(u, d);
     --d;
-    if constexpr (kBuckets) buckets_.get()->set_degree(u, d);
     if constexpr (kTrack) {
       if (dirty_.size() >= dirty_cap_)
         dirty_overflow_ = true;
@@ -48,22 +46,16 @@ void DegreeArray::decrement_neighbors(const CsrGraph& g, Vertex v) {
 void DegreeArray::remove_into_solution(const CsrGraph& g, Vertex v) {
   GVC_DCHECK(present(v));
   UndoTrail* trail = trail_.get();
-  DegreeBuckets* buckets = buckets_.get();
   if (trail) trail->record(v, deg_[static_cast<std::size_t>(v)]);
   num_edges_ -= deg_[static_cast<std::size_t>(v)];
   deg_[static_cast<std::size_t>(v)] = kInSolution;
   ++solution_size_;
-  if (buckets) buckets->set_degree(v, kInSolution);
   const bool track = tracking_ && !dirty_overflow_;
-  switch ((trail ? 4 : 0) | (track ? 2 : 0) | (buckets ? 1 : 0)) {
-    case 0: decrement_neighbors<false, false, false>(g, v); break;
-    case 1: decrement_neighbors<false, false, true>(g, v); break;
-    case 2: decrement_neighbors<true, false, false>(g, v); break;
-    case 3: decrement_neighbors<true, false, true>(g, v); break;
-    case 4: decrement_neighbors<false, true, false>(g, v); break;
-    case 5: decrement_neighbors<false, true, true>(g, v); break;
-    case 6: decrement_neighbors<true, true, false>(g, v); break;
-    case 7: decrement_neighbors<true, true, true>(g, v); break;
+  switch ((trail ? 2 : 0) | (track ? 1 : 0)) {
+    case 0: decrement_neighbors<false, false>(g, v); break;
+    case 1: decrement_neighbors<true, false>(g, v); break;
+    case 2: decrement_neighbors<false, true>(g, v); break;
+    case 3: decrement_neighbors<true, true>(g, v); break;
   }
 }
 
@@ -80,16 +72,6 @@ int DegreeArray::remove_neighbors_into_solution(const CsrGraph& g, Vertex v) {
 }
 
 Vertex DegreeArray::max_degree_vertex() const {
-  // Buckets backend: the attached structure tracked every mutation, so it
-  // answers exactly (same smallest-id tie-break as the scan below). Sync
-  // the cache from the exact answer so the two backends leave identical
-  // bound/hint state behind.
-  if (const DegreeBuckets* buckets = buckets_.get()) {
-    const Vertex v = buckets->max_degree_vertex();
-    max_bound_ = v < 0 ? 0 : deg_[static_cast<std::size_t>(v)];
-    max_hint_ = v;
-    return v;
-  }
   // Fast path: the hint still holds the cached maximum. Degrees never
   // increase, so no vertex can exceed max_bound_, and every vertex with a
   // smaller id than the hint had a smaller degree at the last scan and can
@@ -156,9 +138,10 @@ void DegreeArray::check_consistency(const CsrGraph& g) const {
   }
   GVC_CHECK_MSG(removed == solution_size_, "solution counter out of sync");
   GVC_CHECK_MSG(edges / 2 == num_edges_, "edge counter out of sync");
-  GVC_CHECK_MSG(max_bound_ >= true_max, "max-degree bound out of sync");
+  GVC_CHECK_MSG(max_bound_ >= true_max, "maximum-degree bound out of sync");
   if (max_hint_ >= 0)
-    GVC_CHECK_MSG(max_hint_ < num_vertices(), "max-degree hint out of range");
+    GVC_CHECK_MSG(max_hint_ < num_vertices(),
+                  "maximum-degree hint out of range");
   for (Vertex v : dirty_)
     GVC_CHECK_MSG(v >= 0 && v < num_vertices(), "dirty log entry out of range");
 }

@@ -50,7 +50,6 @@ using graph::CsrGraph;
 using graph::Vertex;
 
 class UndoTrail;
-class DegreeBuckets;
 
 class DegreeArray {
  public:
@@ -179,16 +178,6 @@ class DegreeArray {
   void attach_trail(UndoTrail* trail) { trail_.set(trail); }
   UndoTrail* trail() const { return trail_.get(); }
 
-  /// Attaches a degree-buckets structure (MaxDegreeBackend::kBuckets):
-  /// every subsequent degree mutation — including undo-trail rollbacks —
-  /// keeps it in sync, and max_degree_vertex() answers from it. The caller
-  /// must have build()-ed the buckets against this array's CURRENT state
-  /// first. Pass nullptr to detach. Like the trail, the attachment is an
-  /// acceleration, never value state: copies and moves start detached, and
-  /// operator== ignores it.
-  void attach_buckets(DegreeBuckets* buckets) { buckets_.set(buckets); }
-  DegreeBuckets* buckets() const { return buckets_.get(); }
-
   /// Bitmask of candidate-driven rules whose fixpoint the last incremental
   /// reduction established on this lineage (and whose candidates the log
   /// has captured since). A rule whose bit is unset — never run, or
@@ -205,12 +194,12 @@ class DegreeArray {
   std::vector<Vertex> present_vertices() const;
 
   /// Recomputes degrees / |S| / |E| from scratch against g and aborts on any
-  /// divergence from the maintained values, including a max-degree cache
-  /// bound below the true maximum. Test and debugging aid.
+  /// divergence from the maintained values, including a maximum-degree
+  /// cache bound below the true maximum. Test and debugging aid.
   void check_consistency(const CsrGraph& g) const;
 
-  /// Logical-state equality: degrees and counters. The max-degree cache and
-  /// the dirty log are accelerations, not state, and are ignored.
+  /// Logical-state equality: degrees and counters. The maximum-degree cache
+  /// and the dirty log are accelerations, not state, and are ignored.
   bool operator==(const DegreeArray& other) const {
     return deg_ == other.deg_ && solution_size_ == other.solution_size_ &&
            num_edges_ == other.num_edges_;
@@ -222,30 +211,26 @@ class DegreeArray {
   /// The trail reads and restores every private field on rollback.
   friend class UndoTrail;
 
-  /// Non-propagating pointer to an attached acceleration (the undo trail,
-  /// the optional degree buckets): copy/move CONSTRUCTION yields a detached
-  /// member, copy/move ASSIGNMENT keeps the destination's attachment — the
-  /// sharing rule in type form, so DegreeArray's special members can all be
-  /// `= default`. (Historically named TrailRef; the buckets attachment
-  /// follows the identical rule, hence the shared template.)
-  template <typename T>
-  class AccelRef {
+  /// Non-propagating pointer to the attached undo trail: copy/move
+  /// CONSTRUCTION yields a detached member, copy/move ASSIGNMENT keeps the
+  /// destination's attachment — the sharing rule in type form, so
+  /// DegreeArray's special members can all be `= default`.
+  class TrailRef {
    public:
-    AccelRef() = default;
-    AccelRef(const AccelRef&) {}
-    AccelRef(AccelRef&&) noexcept {}
-    AccelRef& operator=(const AccelRef&) { return *this; }
-    AccelRef& operator=(AccelRef&&) noexcept { return *this; }
+    TrailRef() = default;
+    TrailRef(const TrailRef&) {}
+    TrailRef(TrailRef&&) noexcept {}
+    TrailRef& operator=(const TrailRef&) { return *this; }
+    TrailRef& operator=(TrailRef&&) noexcept { return *this; }
 
-    void set(T* ptr) { ptr_ = ptr; }
-    T* get() const { return ptr_; }
+    void set(UndoTrail* ptr) { ptr_ = ptr; }
+    UndoTrail* get() const { return ptr_; }
 
    private:
-    T* ptr_ = nullptr;
+    UndoTrail* ptr_ = nullptr;
   };
-  using TrailRef = AccelRef<UndoTrail>;
 
-  template <bool kTrack, bool kTrail, bool kBuckets>
+  template <bool kTrack, bool kTrail>
   void decrement_neighbors(const CsrGraph& g, Vertex v);
 
   std::vector<std::int32_t> deg_;
@@ -269,9 +254,8 @@ class DegreeArray {
   std::size_t dirty_cap_ = 0;
   std::vector<Vertex> dirty_;
 
-  /// Not owned; never copied or moved with the value (see AccelRef).
+  /// Not owned; never copied or moved with the value (see TrailRef).
   TrailRef trail_;
-  AccelRef<DegreeBuckets> buckets_;
 };
 
 }  // namespace gvc::vc

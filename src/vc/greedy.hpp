@@ -1,6 +1,6 @@
 #pragma once
 
-// Greedy approximations (§II-B): the max-degree greedy cover used to seed
+// Greedy approximations (§II-B): the maximum-degree greedy cover used to seed
 // `best` and bound the local-stack depth, plus a maximal-matching
 // 2-approximation used by tests as an independent upper bound.
 
@@ -19,7 +19,7 @@ struct GreedyResult {
 
 /// The paper's greedy MVC approximation: apply all reduction rules (with the
 /// high-degree rule inert, since no upper bound exists yet), remove a
-/// max-degree vertex into the solution, repeat until the graph is edgeless.
+/// maximum-degree vertex into the solution, repeat until the graph is edgeless.
 GreedyResult greedy_mvc(const CsrGraph& g);
 
 /// Greedy maximal matching (in vertex order).

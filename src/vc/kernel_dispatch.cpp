@@ -1,12 +1,10 @@
 #include "vc/kernel_dispatch.hpp"
 
-#include <algorithm>
-
 #include "util/strings.hpp"
 
 namespace gvc::vc {
 
-KernelTag classify(const CsrGraph& g, const DegreeArray& da) {
+KernelTag classify(const DegreeArray& da) {
   KernelTag tag;
 
   // (a) Degree width from the maintained bound. The bound is monotone over
@@ -21,20 +19,9 @@ KernelTag classify(const CsrGraph& g, const DegreeArray& da) {
   else
     tag.width = DegreeWidth::kU32;
 
-  // (b) Density of the working graph from the maintained counters: dense
-  // iff the average present degree is at least (|V'|-1)/kDenseDivisor,
-  // i.e. 2*kDenseDivisor*|E'| >= |V'|*(|V'|-1).
-  const std::int64_t present =
-      static_cast<std::int64_t>(g.num_vertices()) - da.solution_size();
-  tag.density = (present >= 2 && 2 * kDenseDivisor * da.num_edges() >=
-                                     present * (present - 1))
-                    ? DensityClass::kDense
-                    : DensityClass::kSparse;
-
-  // (c) Live rules. A rule is dead only when its fixpoint is established
+  // (b) Live rules. A rule is dead only when its fixpoint is established
   // (mask bit set) AND the complete dirty log holds no candidate at its
   // trigger. Without tracking, or after an overflow, everything is live.
-  tag.live_rules = kRuleBitDegreeOne | kRuleBitDegreeTwo | kRuleBitDomination;
   if (da.tracking() && !da.dirty_overflowed()) {
     const std::uint8_t mask = da.reduce_fixpoint_mask();
     bool log_deg1 = false, log_deg2 = false;
@@ -47,10 +34,6 @@ KernelTag classify(const CsrGraph& g, const DegreeArray& da) {
       tag.live_rules &= static_cast<std::uint8_t>(~kRuleBitDegreeOne);
     if ((mask & kRuleBitDegreeTwo) && !log_deg2)
       tag.live_rules &= static_cast<std::uint8_t>(~kRuleBitDegreeTwo);
-    // Domination qualification moves with ANY neighborhood change, so its
-    // bit survives unless the log is empty outright.
-    if ((mask & kRuleBitDomination) && da.dirty().empty())
-      tag.live_rules &= static_cast<std::uint8_t>(~kRuleBitDomination);
   }
   return tag;
 }
@@ -68,24 +51,6 @@ std::optional<KernelDispatch> try_parse_kernel_dispatch(
   const std::string n = util::to_lower(name);
   if (n == "auto") return KernelDispatch::kAuto;
   if (n == "generic" || n == "off") return KernelDispatch::kGeneric;
-  return std::nullopt;
-}
-
-const char* max_degree_backend_name(MaxDegreeBackend b) {
-  switch (b) {
-    case MaxDegreeBackend::kCachedHint: return "cachedhint";
-    case MaxDegreeBackend::kBuckets:    return "buckets";
-  }
-  return "?";
-}
-
-std::optional<MaxDegreeBackend> try_parse_max_degree_backend(
-    const std::string& name) {
-  std::string n = util::to_lower(name);
-  n.erase(std::remove(n.begin(), n.end(), '-'), n.end());
-  if (n == "cachedhint" || n == "hint" || n == "cache")
-    return MaxDegreeBackend::kCachedHint;
-  if (n == "buckets" || n == "bucket") return MaxDegreeBackend::kBuckets;
   return std::nullopt;
 }
 

@@ -6,20 +6,15 @@
 //
 // The per-node reduction fixpoint is the hottest loop of every solver, yet
 // one generic path used to serve every instance shape: 32-bit degree
-// snapshots for graphs whose max degree fits a byte, a full three-rule
-// round loop when the fixpoint mask proves two rules are permanently dead,
-// and per-edge binary searches for the domination subset check regardless
-// of density. classify() computes a cheap KernelTag capturing
+// snapshots for graphs whose maximum degree fits a byte, and a full
+// three-rule round loop when the fixpoint mask proves two rules are
+// permanently dead. classify() computes a cheap KernelTag capturing
 //
-//   (a) degree width  — the maintained max-degree BOUND (monotone: degrees
-//       only ever decrease) tells whether every degree fits u8/u16/u32, so
-//       the sweep kernels can run on narrow snapshots (4x less snapshot
-//       traffic for u8);
-//   (b) density class — dense working graphs answer the domination rule's
-//       N[v] ⊆ N[u] test fastest through a bitset-adjacency row (branchless
-//       bit probes), sparse ones through a merge-scan of the two sorted
-//       adjacency lists;
-//   (c) live rules    — which candidate-driven rules can still fire: a rule
+//   (a) degree width — the maintained maximum-degree BOUND (monotone:
+//       degrees only ever decrease) tells whether every degree fits
+//       u8/u16/u32, so the sweep kernels can run on narrow snapshots (4x
+//       less snapshot traffic for u8);
+//   (b) live rules   — which candidate-driven rules can still fire: a rule
 //       whose fixpoint bit is set and whose dirty log holds no candidate is
 //       skipped without re-probing.
 //
@@ -29,8 +24,7 @@
 // restore degrees the adopted node already had — so the width class never
 // widens mid-descent and the tag stays sound without per-node
 // reclassification. reduce() re-classifies on the one cheap signal that
-// invalidates the log-derived part (dirty-log overflow); density drift only
-// costs speed, never correctness.
+// invalidates the log-derived part (dirty-log overflow).
 //
 // CONTRACT — the tag is execution policy. Every specialization must produce
 // BIT-IDENTICAL state transitions to the generic kernels (same covers, same
@@ -50,37 +44,25 @@ namespace gvc::vc {
 /// (DegreeArray::reduce_fixpoint_mask) and the classifier.
 inline constexpr std::uint8_t kRuleBitDegreeOne = 1;
 inline constexpr std::uint8_t kRuleBitDegreeTwo = 2;
-inline constexpr std::uint8_t kRuleBitDomination = 4;
 
 /// Narrowest unsigned type every CURRENT degree fits (classified from the
-/// monotone max-degree bound, so the class never widens within a descent).
+/// monotone maximum-degree bound, so the class never widens within a
+/// descent).
 enum class DegreeWidth : std::uint8_t { kU8, kU16, kU32 };
-
-/// Density of the working (present-vertex) graph; selects the domination
-/// rule's subset-check kernel.
-enum class DensityClass : std::uint8_t { kSparse, kDense };
-
-/// Average present degree >= (|V'| - 1) / kDenseDivisor classifies as dense:
-/// at >= 12.5% density a bitset row of N[u] amortizes over the probes.
-inline constexpr std::int64_t kDenseDivisor = 8;
 
 struct KernelTag {
   DegreeWidth width = DegreeWidth::kU32;
-  DensityClass density = DensityClass::kSparse;
   /// Rules that may still fire. Bit set => the rule must be probed; bit
   /// clear => its fixpoint is established AND the dirty log (complete, no
   /// overflow) holds no candidate at its trigger, so it cannot fire before
   /// some new mutation re-dirties a vertex.
-  std::uint8_t live_rules = kRuleBitDegreeOne | kRuleBitDegreeTwo |
-                            kRuleBitDomination;
-
-  friend bool operator==(const KernelTag&, const KernelTag&) = default;
+  std::uint8_t live_rules = kRuleBitDegreeOne | kRuleBitDegreeTwo;
 };
 
 /// O(1) except for one walk of the (capped) dirty log: width from the
-/// max-degree bound, density from the maintained |V'| / |E'| counters,
-/// live rules from the fixpoint mask refined by the log contents.
-KernelTag classify(const CsrGraph& g, const DegreeArray& da);
+/// maximum-degree bound, live rules from the fixpoint mask refined by the
+/// log contents.
+KernelTag classify(const DegreeArray& da);
 
 /// The dispatch knob: kAuto classifies and routes reduce() through the
 /// shape-specialized kernels; kGeneric pins the one-size-fits-all path
@@ -89,17 +71,6 @@ enum class KernelDispatch : std::uint8_t { kGeneric, kAuto };
 
 const char* kernel_dispatch_name(KernelDispatch d);
 std::optional<KernelDispatch> try_parse_kernel_dispatch(
-    const std::string& name);
-
-/// Backend for DegreeArray::max_degree_vertex(): the lazily-tightened
-/// bound+hint cache (default), or degree buckets maintained on every
-/// decrement (vc/degree_buckets.hpp). Both return the same smallest-id
-/// argmax, so — like KernelDispatch — the knob is execution policy and
-/// stays out of the result-cache key.
-enum class MaxDegreeBackend : std::uint8_t { kCachedHint, kBuckets };
-
-const char* max_degree_backend_name(MaxDegreeBackend b);
-std::optional<MaxDegreeBackend> try_parse_max_degree_backend(
     const std::string& name);
 
 }  // namespace gvc::vc

@@ -2,7 +2,7 @@
 
 // Local-search improvement of vertex covers — the "heuristics" line of work
 // the paper cites [12, 13]. Not used by the exact solvers (the paper seeds
-// `best` with the simpler max-degree greedy, and we keep that faithful),
+// `best` with the simpler maximum-degree greedy, and we keep that faithful),
 // but exposed as library API: a tighter initial upper bound shrinks both
 // the search tree and the §IV-E stack-depth provisioning, which is the
 // natural first extension a downstream user reaches for.
@@ -30,7 +30,7 @@ std::vector<graph::Vertex> improve_cover(const graph::CsrGraph& g,
                                          std::vector<graph::Vertex> cover,
                                          const LocalSearchOptions& options = {});
 
-/// Greedy cover (max-degree, reduction-free) followed by improve_cover —
+/// Greedy cover (maximum-degree, reduction-free) followed by improve_cover —
 /// a stronger upper bound than greedy alone.
 std::vector<graph::Vertex> local_search_cover(const graph::CsrGraph& g,
                                               const LocalSearchOptions& options = {});

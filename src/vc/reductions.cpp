@@ -361,8 +361,8 @@ ReduceStats reduce_sweep_pass(const CsrGraph& g, DegreeArray& da,
 
 /// Dispatch-table row for one snapshot width. Mask bits here index the
 /// RuleSet (1 = degree-one, 2 = degree-two-triangle, 4 = high-degree) — not
-/// to be confused with the kRuleBit* fixpoint bits, where bit 4 is the
-/// domination rule.
+/// to be confused with the kRuleBit* fixpoint bits, which name only the two
+/// candidate-driven rules.
 template <typename SnapT>
 ReduceStats sweep_pass_for_mask(std::uint8_t m, const CsrGraph& g,
                                 DegreeArray& da, const BudgetPolicy& policy,
@@ -500,8 +500,8 @@ std::int64_t degree_two_incremental(const CsrGraph& g, DegreeArray& da,
 
 /// The high-degree rule is budget-driven, not degree-change-driven (every
 /// removal anywhere tightens the budget), so instead of candidates it uses
-/// the degree array's cached max-degree bound as an O(1) "cannot fire" gate
-/// and falls back to the exact serial pass only when some vertex actually
+/// the degree array's cached maximum-degree bound as an O(1) "cannot fire"
+/// gate and falls back to the exact serial pass only when some vertex actually
 /// exceeds the budget. The serial pass removes at least one vertex whenever
 /// it runs, so its scan cost is always matched by real work.
 std::int64_t high_degree_incremental(const CsrGraph& g, DegreeArray& da,
@@ -934,252 +934,6 @@ std::int64_t apply_high_degree(const CsrGraph& g, DegreeArray& da,
   return 0;
 }
 
-namespace {
-
-// --- domination rule kernels ------------------------------------------------
-//
-// Three subset-check arms, one predicate: u dominates a present neighbor v
-// iff every present w ∈ N(v), w ≠ u, is adjacent to u (graph-level
-// adjacency — exactly what has_edge answers). The cheap deg(v) <= deg(u)
-// filter is implied by the predicate among present vertices, so applying it
-// in every arm changes nothing.
-
-/// Generic arm: one O(log deg) binary search per member probe.
-bool subset_binary(const CsrGraph& g, const DegreeArray& da, Vertex v,
-                   Vertex u) {
-  for (Vertex w : g.neighbors(v)) {
-    if (w == u || !da.present(w)) continue;
-    if (!g.has_edge(u, w)) return false;
-  }
-  return true;
-}
-
-/// Sparse arm: both adjacency lists are sorted ascending (a CSR invariant),
-/// so one two-pointer merge answers every probe of the pair.
-bool subset_merge(const CsrGraph& g, const DegreeArray& da, Vertex v,
-                  Vertex u) {
-  auto nu = g.neighbors(u);
-  auto it = nu.begin();
-  for (Vertex w : g.neighbors(v)) {
-    if (w == u || !da.present(w)) continue;
-    while (it != nu.end() && *it < w) ++it;
-    if (it == nu.end() || *it != w) return false;
-    ++it;
-  }
-  return true;
-}
-
-template <typename SubsetFn>
-bool dominates_some_neighbor(const CsrGraph& g, const DegreeArray& da,
-                             Vertex u, SubsetFn&& subset) {
-  const std::int32_t du = da.degree(u);
-  for (Vertex v : g.neighbors(u)) {
-    if (!da.present(v)) continue;
-    if (da.degree(v) > du) continue;  // cheap filter (implied by N[v] ⊆ N[u])
-    if (subset(v, u)) return true;
-  }
-  return false;
-}
-
-bool dominates_binary(const CsrGraph& g, const DegreeArray& da, Vertex u) {
-  return dominates_some_neighbor(g, da, u, [&](Vertex v, Vertex uu) {
-    return subset_binary(g, da, v, uu);
-  });
-}
-
-bool dominates_merge(const CsrGraph& g, const DegreeArray& da, Vertex u) {
-  return dominates_some_neighbor(g, da, u, [&](Vertex v, Vertex uu) {
-    return subset_merge(g, da, v, uu);
-  });
-}
-
-/// Dense arm: scatter N(u) into a bitset row once, answer every probe of
-/// every candidate pair with one branchless bit test, re-walk N(u) to
-/// clear. The row holds graph-level adjacency (presence-independent), so a
-/// probe matches has_edge exactly.
-bool dominates_bitset(const CsrGraph& g, const DegreeArray& da, Vertex u,
-                      std::vector<std::uint64_t>& bits) {
-  const std::size_t words =
-      (static_cast<std::size_t>(da.num_vertices()) + 63) / 64;
-  if (bits.size() < words) bits.assign(words, 0);
-  for (Vertex w : g.neighbors(u))
-    bits[static_cast<std::size_t>(w) >> 6] |= std::uint64_t{1} << (w & 63);
-  const bool hit = dominates_some_neighbor(g, da, u, [&](Vertex v, Vertex uu) {
-    for (Vertex w : g.neighbors(v)) {
-      if (w == uu || !da.present(w)) continue;
-      if (!(bits[static_cast<std::size_t>(w) >> 6] >> (w & 63) & 1))
-        return false;
-    }
-    return true;
-  });
-  for (Vertex w : g.neighbors(u))
-    bits[static_cast<std::size_t>(w) >> 6] &= ~(std::uint64_t{1} << (w & 63));
-  return hit;
-}
-
-/// The textbook engine: repeated ascending full scans until a scan changes
-/// nothing (same body as the pre-dispatch apply_domination).
-template <typename Dominates>
-std::int64_t domination_serial_engine(const CsrGraph& g, DegreeArray& da,
-                                      Dominates&& dominates) {
-  std::int64_t removed = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (Vertex u = 0; u < da.num_vertices(); ++u) {
-      if (!da.present(u) || da.degree(u) == 0) continue;
-      if (!dominates(u)) continue;
-      da.remove_into_solution(g, u);
-      ++removed;
-      changed = true;
-    }
-  }
-  return removed;
-}
-
-/// Candidate-driven engine, bit-identical to the serial one by the same
-/// pass-ordering construction as run_incremental_rule. The rule has no
-/// exact trigger degree; instead, candidate completeness comes from the
-/// predicate's locality: removing r changes "u dominates someone" only for
-/// u with r ∈ N(u) (u is dirty — it lost a neighbor) or with some
-/// v ∈ N(u) that lost r (that v is dirty, and u ∈ N(v)). So the feed per
-/// dirty vertex x is {x} ∪ N(x), filtered to present vertices of degree
-/// >= 1 (a degree-0 vertex has no neighbor to dominate — the serial scan
-/// skips it too).
-///
-/// Happy path: the lineage's previous domination fixpoint is recorded in
-/// the fixpoint mask (kRuleBitDomination) and the log captured every change
-/// since — seed from the log alone, NO full scan. The bit is deliberately
-/// revoked by the degree-1/2 engine (it overwrites the mask) because that
-/// engine also clears the log the bit's promise depends on; conversely this
-/// engine leaves the log intact (the degree rules' cursors still need it)
-/// and ORs its bit in.
-template <typename Dominates>
-std::int64_t domination_incremental_engine(const CsrGraph& g, DegreeArray& da,
-                                           ReduceWorkspace& ws,
-                                           Dominates&& dominates) {
-  const bool was_tracking = da.tracking();
-  if (!was_tracking) da.enable_tracking();
-  bool seed_from_log = was_tracking && !da.dirty_overflowed() &&
-                       (da.reduce_fixpoint_mask() & kRuleBitDomination) != 0;
-  if (da.dirty_overflowed()) {
-    da.clear_dirty();
-    da.set_reduce_fixpoint_mask(0);
-    seed_from_log = false;
-  }
-  da.suspend_dirty_cap();
-
-  const std::vector<Vertex>& log = da.dirty();
-  const std::vector<std::int32_t>& deg = da.raw();
-  auto& heap = ws.heap;
-  auto& next = ws.next;
-  auto& pending = ws.pending;
-  heap.clear();
-  next.clear();
-  if (pending.size() < deg.size()) pending.assign(deg.size(), 0);
-  const auto by_min = std::greater<Vertex>();
-  auto push = [&](Vertex v) {
-    heap.push_back(v);
-    std::push_heap(heap.begin(), heap.end(), by_min);
-  };
-  auto enqueue_one = [&](Vertex w, Vertex pos) {
-    const std::int32_t d = deg[static_cast<std::size_t>(w)];
-    if (d == DegreeArray::kInSolution || d == 0) return;
-    auto& mark = pending[static_cast<std::size_t>(w)];
-    if (mark & kRuleBitDomination) return;
-    mark |= kRuleBitDomination;
-    if (w > pos)
-      push(w);
-    else
-      next.push_back(w);
-  };
-  // One log entry x = "x's present neighborhood changed": feed x and every
-  // vertex x neighbors. (If x has since been removed its neighbors were
-  // re-dirtied by that removal, but feeding them from this entry too is
-  // merely conservative.)
-  auto enqueue_dirty = [&](Vertex x, Vertex pos) {
-    enqueue_one(x, pos);
-    for (Vertex y : g.neighbors(x)) enqueue_one(y, pos);
-  };
-
-  std::size_t cursor = 0;
-  if (seed_from_log) {
-    for (; cursor < log.size(); ++cursor) enqueue_dirty(log[cursor], -1);
-  } else {
-    cursor = log.size();
-    const Vertex n = da.num_vertices();
-    for (Vertex v = 0; v < n; ++v) {
-      const std::int32_t d = deg[static_cast<std::size_t>(v)];
-      if (d == DegreeArray::kInSolution || d == 0) continue;
-      pending[static_cast<std::size_t>(v)] |= kRuleBitDomination;
-      heap.push_back(v);  // ascending ids: already a valid min-heap
-    }
-  }
-
-  std::int64_t removed = 0;
-  for (;;) {
-    if (heap.empty()) {
-      if (next.empty()) break;
-      for (Vertex v : next) push(v);
-      next.clear();
-    }
-    std::pop_heap(heap.begin(), heap.end(), by_min);
-    const Vertex v = heap.back();
-    heap.pop_back();
-    pending[static_cast<std::size_t>(v)] &=
-        static_cast<std::uint8_t>(~kRuleBitDomination);
-    if (!da.present(v) || da.degree(v) == 0 || !dominates(v)) continue;
-    da.remove_into_solution(g, v);
-    ++removed;
-    for (; cursor < log.size(); ++cursor) enqueue_dirty(log[cursor], v);
-  }
-
-  if (!was_tracking) {
-    da.disable_tracking();
-  } else {
-    da.restore_dirty_cap();
-    da.set_reduce_fixpoint_mask(
-        static_cast<std::uint8_t>(da.reduce_fixpoint_mask() |
-                                  kRuleBitDomination));
-  }
-  return removed;
-}
-
-template <typename Dominates>
-std::int64_t run_domination(const CsrGraph& g, DegreeArray& da,
-                            ReduceWorkspace& ws, ReduceSemantics semantics,
-                            Dominates&& dominates) {
-  if (semantics == ReduceSemantics::kIncremental)
-    return domination_incremental_engine(g, da, ws, dominates);
-  // The rule has no sweep formulation; kParallelSweep maps to the serial
-  // engine (documented in the header).
-  return domination_serial_engine(g, da, dominates);
-}
-
-}  // namespace
-
-std::int64_t apply_domination(const CsrGraph& g, DegreeArray& da,
-                              ReduceSemantics semantics, ReduceWorkspace* ws,
-                              KernelDispatch dispatch) {
-  ReduceWorkspace local;
-  ReduceWorkspace& w = ws ? *ws : local;
-  if (dispatch == KernelDispatch::kAuto) {
-    // Density class picks the subset-check kernel; all arms evaluate the
-    // same predicate, so the choice is pure execution policy.
-    const KernelTag tag = classify(g, da);
-    if (tag.density == DensityClass::kDense)
-      return run_domination(g, da, w, semantics, [&](Vertex u) {
-        return dominates_bitset(g, da, u, w.adjacency_bits);
-      });
-    return run_domination(g, da, w, semantics, [&](Vertex u) {
-      return dominates_merge(g, da, u);
-    });
-  }
-  return run_domination(g, da, w, semantics, [&](Vertex u) {
-    return dominates_binary(g, da, u);
-  });
-}
-
 ReduceStats reduce(const CsrGraph& g, DegreeArray& da,
                    const BudgetPolicy& policy, ReduceSemantics semantics,
                    const RuleSet& rules, util::ActivityAccumulator* acc,
@@ -1188,15 +942,14 @@ ReduceStats reduce(const CsrGraph& g, DegreeArray& da,
   ReduceWorkspace& w = ws ? *ws : local;
 
   // Sampled fixpoint span. The tag argument encodes the dispatch shape the
-  // pass runs under (width | density<<2 | live_rules<<3); -1 before the
+  // pass runs under (width | live_rules<<2); -1 before the
   // lineage's first classification (right after adoption).
   obs::TraceSpanSampled trace_span(
       obs::TraceCat::kReduce, "reduce", "tag",
       w.kernel_tag_valid
           ? static_cast<std::int64_t>(
                 static_cast<unsigned>(w.kernel_tag.width) |
-                (static_cast<unsigned>(w.kernel_tag.density) << 2) |
-                (static_cast<unsigned>(w.kernel_tag.live_rules) << 3))
+                (static_cast<unsigned>(w.kernel_tag.live_rules) << 2))
           : -1);
 
   if (dispatch == KernelDispatch::kAuto &&
@@ -1207,7 +960,7 @@ ReduceStats reduce(const CsrGraph& g, DegreeArray& da,
     // width class is monotone within a descent (kernel_dispatch.hpp), so
     // the cached tag stays sound everywhere else.
     if (!w.kernel_tag_valid || da.dirty_overflowed()) {
-      w.kernel_tag = classify(g, da);
+      w.kernel_tag = classify(da);
       w.kernel_tag_valid = true;
     }
     const std::uint8_t rule_mask = static_cast<std::uint8_t>(

@@ -22,7 +22,7 @@
 //                     variant produce BIT-IDENTICAL covers and removal
 //                     counts to kSerial — differential tests rely on this.
 //                     The high-degree rule is gated by the degree array's
-//                     O(1) max-degree bound and falls back to the serial
+//                     O(1) maximum-degree bound and falls back to the serial
 //                     pass only when it can actually fire.
 //
 // All variants preserve at least one optimal solution in the subtree
@@ -49,7 +49,7 @@
 // cached KernelTag instead of the one-size-fits-all path:
 //
 //   * degree width  — kParallelSweep runs on u8/u16 degree snapshots when
-//     the (monotone) max-degree bound proves every degree fits, quartering
+//     the (monotone) maximum-degree bound proves every degree fits, quartering
 //     or halving snapshot traffic; u32 shapes run the generic loop, which
 //     IS the u32 kernel;
 //   * rule mask     — the enabled-rule set is a template parameter, so an
@@ -80,7 +80,6 @@
 
 #include "util/timer.hpp"
 #include "vc/degree_array.hpp"
-#include "vc/degree_buckets.hpp"
 #include "vc/kernel_dispatch.hpp"
 #include "vc/undo_trail.hpp"
 
@@ -136,12 +135,10 @@ struct ReduceWorkspace {
   std::vector<std::uint8_t> pending;
 
   /// Shape-specialized scratch (KernelDispatch::kAuto): narrow degree
-  /// snapshots for the u8/u16 sweep kernels, one adjacency-bitset row for
-  /// the dense domination check, and the fused seed lists of the
+  /// snapshots for the u8/u16 sweep kernels and the fused seed lists of the
   /// incremental pass.
   std::vector<std::uint8_t> snapshot8;
   std::vector<std::uint16_t> snapshot16;
-  std::vector<std::uint64_t> adjacency_bits;
   std::vector<Vertex> seed1;
   std::vector<Vertex> seed2;
 
@@ -150,11 +147,6 @@ struct ReduceWorkspace {
   /// after a dirty-log overflow) and trusts it for the rest of the descent.
   KernelTag kernel_tag;
   bool kernel_tag_valid = false;
-
-  /// Bucketed max-degree backend (MaxDegreeBackend::kBuckets): rebuilt and
-  /// re-attached by adopt_node() on every pickup, kept in sync by the
-  /// degree array and the undo trail from then on.
-  DegreeBuckets buckets;
 
   /// Apply/undo branching scratch (BranchStateMode::kUndoTrail): the
   /// per-block mutation trail and the deferred-branch frame stack of the
@@ -208,19 +200,11 @@ ReduceStats reduce(const CsrGraph& g, DegreeArray& da,
                    ReduceWorkspace* ws = nullptr,
                    KernelDispatch dispatch = KernelDispatch::kGeneric);
 
-/// An engine has picked up a root or donated node into `da`: invalidate the
+/// An engine has picked up a root or donated node: invalidate the
 /// workspace's cached KernelTag so the next reduce() re-classifies for the
-/// adopted lineage, and rebuild/re-attach the degree buckets when that
-/// backend is selected. Called by solve_sequential at its root / stack pops
-/// and wrapped by parallel::adopt_node for the block solvers.
-inline void adopt_node(DegreeArray& da, ReduceWorkspace& ws,
-                       MaxDegreeBackend backend) {
-  ws.kernel_tag_valid = false;
-  if (backend == MaxDegreeBackend::kBuckets) {
-    ws.buckets.build(da);
-    da.attach_buckets(&ws.buckets);
-  }
-}
+/// adopted lineage. Called by solve_sequential at its root / stack pops and
+/// wrapped by parallel::adopt_node for the block solvers.
+inline void adopt_node(ReduceWorkspace& ws) { ws.kernel_tag_valid = false; }
 
 // Individual rules, each applied to its own fixpoint; exposed for unit
 // testing. Each returns the number of vertices moved into S. Under
@@ -237,27 +221,5 @@ std::int64_t apply_high_degree(const CsrGraph& g, DegreeArray& da,
                                const BudgetPolicy& policy,
                                ReduceSemantics semantics,
                                ReduceWorkspace* ws = nullptr);
-
-/// Extension (not part of the paper's kernels, kept out of RuleSet so the
-/// reproduction stays faithful): the domination rule. If an edge {u,v} has
-/// N[v] ⊆ N[u] (closed neighborhoods among present vertices), then u
-/// dominates v and some minimum cover contains u, so u moves into S.
-/// Subsumes the degree-one rule. Applied to fixpoint; returns removals.
-///
-/// Semantics: kSerial is the textbook repeated full scan; kIncremental is
-/// candidate-driven — a vertex's domination status can flip only when its
-/// own closed neighborhood or a neighbor's changes, so the candidate feed
-/// per dirty vertex x is {x} ∪ N(x), seeded from the dirty log alone on the
-/// happy path (fixpoint-mask bit kRuleBitDomination set, no overflow) and
-/// bit-identical to kSerial by the same pass-ordering argument as the
-/// engine above. The rule has no sweep formulation; kParallelSweep maps to
-/// the serial engine. `dispatch` = kAuto additionally picks the
-/// subset-check kernel by density class (bitset-adjacency row for dense
-/// working graphs, merge-scan of the sorted adjacencies for sparse) — all
-/// arms evaluate the identical predicate.
-std::int64_t apply_domination(const CsrGraph& g, DegreeArray& da,
-                              ReduceSemantics semantics = ReduceSemantics::kSerial,
-                              ReduceWorkspace* ws = nullptr,
-                              KernelDispatch dispatch = KernelDispatch::kGeneric);
 
 }  // namespace gvc::vc

@@ -137,7 +137,7 @@ SolveResult solve_sequential(const CsrGraph& g, const SequentialConfig& config,
 
     DegreeArray da(g);
     da.attach_trail(&trail);
-    adopt_node(da, ws, config.max_degree_backend);  // root pickup
+    adopt_node(ws);  // root pickup
     bool have_node = true;
     while (have_node) {
       const Visit visit = process_node(da);
@@ -158,7 +158,7 @@ SolveResult solve_sequential(const CsrGraph& g, const SequentialConfig& config,
     while (!stack.empty()) {
       DegreeArray da = std::move(stack.back());
       stack.pop_back();
-      adopt_node(da, ws, config.max_degree_backend);  // fresh standalone node
+      adopt_node(ws);  // fresh standalone node
 
       const Visit visit = process_node(da);
       if (visit == Visit::kStop) break;

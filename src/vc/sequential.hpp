@@ -39,10 +39,6 @@ struct SequentialConfig {
   /// policy: kAuto produces bit-identical trees to kGeneric, so like
   /// branch_state this stays out of the result-cache key.
   KernelDispatch kernel_dispatch = KernelDispatch::kAuto;
-
-  /// max_degree_vertex() backend (see vc/degree_buckets.hpp). Also pure
-  /// execution policy — both backends return the same smallest-id argmax.
-  MaxDegreeBackend max_degree_backend = MaxDegreeBackend::kCachedHint;
 };
 
 /// Runs branch-and-reduce to completion (or until `control` stops it — its

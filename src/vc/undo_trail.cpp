@@ -4,7 +4,6 @@
 
 #include "obs/trace.hpp"
 #include "util/check.hpp"
-#include "vc/degree_buckets.hpp"
 
 namespace gvc::vc {
 
@@ -38,19 +37,15 @@ void UndoTrail::rollback(Mark mark, DegreeArray& da) {
 
   // Reverse replay: a vertex mutated several times ends at its value as of
   // the watermark (its oldest entry above the cut wins by running last).
-  // An attached buckets backend follows every write so it lands on the
-  // restored degrees too (redundant intermediate moves are O(1) each).
-  DegreeBuckets* buckets = da.buckets_.get();
   for (std::size_t i = entries_.size(); i > wm.trail_size; --i) {
     const Entry& e = entries_[i - 1];
     da.deg_[static_cast<std::size_t>(e.v)] = e.old_degree;
-    if (buckets) buckets->set_degree(e.v, e.old_degree);
   }
   entries_.resize(wm.trail_size);
 
   da.solution_size_ = wm.solution_size;
   da.num_edges_ = wm.num_edges;
-  // The max-degree cache was valid for the watermark state; the degrees are
+  // The maximum-degree cache was valid for the watermark state; the degrees are
   // that state again, so it is valid once more. (It may have been tightened
   // below restored degrees inside the sub-tree — restoring it is what keeps
   // the "bound never below the true maximum" invariant.)

@@ -11,14 +11,14 @@
 // matching step for *backtracking*. A block keeps ONE degree array — the
 // state of the node it is currently visiting — and records every mutation
 // as a (vertex, old-degree) entry. Entering a child pushes a watermark
-// (an O(1) snapshot of the counters, the max-degree cache, and the dirty-log
-// bookkeeping); leaving it replays the entries above the watermark in
+// (an O(1) snapshot of the counters, the maximum-degree cache, and the
+// dirty-log bookkeeping); leaving it replays the entries above the watermark in
 // reverse. Per-node cost falls from O(|V|) to O(vertices whose degree
 // changed), which on sparse instances is a small constant.
 //
 // Equivalence contract: a rollback restores the array to the EXACT logical
 // and tracking state it had at the watermark — degrees, |S|, |E|, the
-// max-degree cache, and the dirty log the incremental reduction engine
+// maximum-degree cache, and the dirty log the incremental reduction engine
 // seeds from. The apply/undo traversal therefore visits the same nodes,
 // makes the same branching decisions and produces the same covers as the
 // copying traversal, bit for bit; the randomized differential suite
@@ -56,7 +56,7 @@ class UndoTrail {
   };
 
   /// Begins a node: captures everything a rollback needs beyond the entry
-  /// list — |S|, |E|, the max-degree cache, and the dirty-log bookkeeping
+  /// list — |S|, |E|, the maximum-degree cache, and the dirty-log bookkeeping
   /// (tracking flag, overflow latch, fixpoint mask, and the log contents —
   /// O(1) in the solver loops, where watermarks are taken right after a
   /// reduction left the log empty). Must not be called while a reduction

@@ -56,7 +56,7 @@ struct WeightedResult {
   bool limit_hit() const { return is_limit(outcome); }
 };
 
-/// Exact MWVC by branch-and-bound: branch on a max-degree vertex (take it,
+/// Exact MWVC by branch-and-bound: branch on a maximum-degree vertex (take it,
 /// or take its whole neighborhood), prune with accumulated weight +
 /// local-ratio pricing bound against the incumbent, and apply the weighted
 /// degree-one rule (take the neighbor when it is no heavier). `control`

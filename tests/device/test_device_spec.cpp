@@ -28,15 +28,15 @@ TEST(DeviceSpec, HostScaledKeepsGridSmall) {
 TEST(DeviceSpecDeathTest, RejectsInconsistentFields) {
   DeviceSpec d = DeviceSpec::v100();
   d.num_sms = 0;
-  EXPECT_DEATH(d.validate(), "GVC_CHECK");
+  EXPECT_DEATH(d.validate(), "device needs num_sms > 0");
 
   d = DeviceSpec::v100();
   d.shared_mem_per_block_bytes = d.shared_mem_per_sm_bytes + 1;
-  EXPECT_DEATH(d.validate(), "GVC_CHECK");
+  EXPECT_DEATH(d.validate(), "shared_mem_per_block <= shared_mem_per_sm");
 
   d = DeviceSpec::v100();
   d.max_threads_per_sm = d.max_threads_per_block - 1;
-  EXPECT_DEATH(d.validate(), "GVC_CHECK");
+  EXPECT_DEATH(d.validate(), "max_threads_per_sm >= max_threads_per_block");
 }
 
 }  // namespace

@@ -107,6 +107,11 @@ TEST_P(OccupancyPropertyTest, PlanInvariantsHoldOnAllDevices) {
       EXPECT_GE(static_cast<std::int64_t>(p.grid_size) * p.block_size,
                 spec.full_occupancy_threads());
     }
+    // A deeper stack never plans a larger grid (parallel::check_solve
+    // relies on it to skip the greedy pass).
+    const char* why = nullptr;
+    const auto deeper = try_plan_launch(spec, n, depth * 10, 0, &why);
+    if (deeper) EXPECT_LE(deeper->grid_size, p.grid_size);
   }
 }
 

@@ -74,11 +74,6 @@ TEST_P(DifferentialSweep, EveryEngineEveryConfigAgreesOnMvc) {
             c.branch = branch;
             c.branch_seed = static_cast<std::uint64_t>(seed);
             c.kernel_dispatch = dispatch;
-            // Ride the max-degree backend on the dispatch axis rather than
-            // doubling the sweep again: auto-dispatch runs on buckets.
-            c.max_degree_backend = dispatch == vc::KernelDispatch::kAuto
-                                       ? vc::MaxDegreeBackend::kBuckets
-                                       : vc::MaxDegreeBackend::kCachedHint;
             parallel::ParallelResult r = parallel::solve(g, method, c);
             EXPECT_EQ(r.best_size, expected)
                 << parallel::method_name(method) << " semantics "

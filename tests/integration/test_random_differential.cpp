@@ -160,8 +160,7 @@ TEST(RandomDifferential, EveryMethodBitIdenticalOnSerializedDevice) {
 
 TEST(RandomDifferential, DispatchBitIdenticalOnSerializedDevice) {
   // The kernel-dispatch acceptance proof: the shape-specialized reduce
-  // kernels and the bucketed max-degree backend must reproduce the generic
-  // configuration's tree EXACTLY — same optimum, same node count — for the
+  // kernels must reproduce the generic configuration's tree EXACTLY — same optimum, same node count — for the
   // Sequential method and all four parallel methods on the serialized
   // device, where counts are deterministic.
   const int seeds = env_knob("GVC_DIFF_SEEDS", 60) / 10 + 2;
@@ -175,29 +174,21 @@ TEST(RandomDifferential, DispatchBitIdenticalOnSerializedDevice) {
           parallel::ParallelConfig generic =
               serialized_config(vc::BranchStateMode::kUndoTrail);
           generic.kernel_dispatch = vc::KernelDispatch::kGeneric;
-          generic.max_degree_backend = vc::MaxDegreeBackend::kCachedHint;
           parallel::ParallelResult want = parallel::solve(g, method, generic);
 
           for (vc::KernelDispatch dispatch :
                {vc::KernelDispatch::kGeneric, vc::KernelDispatch::kAuto}) {
-            for (vc::MaxDegreeBackend backend :
-                 {vc::MaxDegreeBackend::kCachedHint,
-                  vc::MaxDegreeBackend::kBuckets}) {
-              parallel::ParallelConfig c = generic;
-              c.kernel_dispatch = dispatch;
-              c.max_degree_backend = backend;
-              parallel::ParallelResult got = parallel::solve(g, method, c);
-              ASSERT_EQ(got.best_size, want.best_size)
-                  << parallel::method_name(method) << " dispatch "
-                  << vc::kernel_dispatch_name(dispatch) << " backend "
-                  << vc::max_degree_backend_name(backend);
-              ASSERT_EQ(got.tree_nodes, want.tree_nodes)
-                  << parallel::method_name(method) << " dispatch "
-                  << vc::kernel_dispatch_name(dispatch) << " backend "
-                  << vc::max_degree_backend_name(backend)
-                  << ": tree shape diverged from the generic kernels";
-              ASSERT_TRUE(graph::is_vertex_cover(g, got.cover));
-            }
+            parallel::ParallelConfig c = generic;
+            c.kernel_dispatch = dispatch;
+            parallel::ParallelResult got = parallel::solve(g, method, c);
+            ASSERT_EQ(got.best_size, want.best_size)
+                << parallel::method_name(method) << " dispatch "
+                << vc::kernel_dispatch_name(dispatch);
+            ASSERT_EQ(got.tree_nodes, want.tree_nodes)
+                << parallel::method_name(method) << " dispatch "
+                << vc::kernel_dispatch_name(dispatch)
+                << ": tree shape diverged from the generic kernels";
+            ASSERT_TRUE(graph::is_vertex_cover(g, got.cover));
           }
         }
       }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -45,9 +46,10 @@ constexpr parallel::Method kAllMethods[] = {
 /// A daemon-in-a-fixture: SolveService + Server, deterministic options
 /// (no device partitioning, reject on full shard — the daemon posture).
 struct TestDaemon {
-  explicit TestDaemon(int workers, ServerOptions nopts = {}) {
+  explicit TestDaemon(int workers, ServerOptions nopts = {},
+                      bool partition_device = false) {
     sopts.num_workers = workers;
-    sopts.partition_device = false;
+    sopts.partition_device = partition_device;
     sopts.full_policy = service::JobQueue::FullPolicy::kReject;
     svc = std::make_unique<service::SolveService>(sopts);
     nopts.bind_address = "127.0.0.1";
@@ -475,6 +477,93 @@ TEST(NetE2E, PollStatusLifecycle) {
   ASSERT_TRUE(client->poll_status(id, &status));
   EXPECT_FALSE(status.known);
   client->close();
+}
+
+/// A tweak of a good request that the daemon must refuse with `code`.
+struct BadSolve {
+  const char* what;
+  std::function<void(SolveRequestMsg&)> tweak;
+  ErrorCode code;
+};
+
+/// Sends every bad request, checks each gets its error frame, then checks a
+/// normal solve on the same connection still completes.
+void expect_refused_then_served(const TestDaemon& daemon,
+                                const SolveRequestMsg& good,
+                                const std::vector<BadSolve>& bad) {
+  auto client = connect_to(daemon);
+  ErrorMsg err;
+  ASSERT_TRUE(client->upload_graph(good.graph_id, graph::gnp(40, 0.2, 3),
+                                   nullptr, &err))
+      << err.message;
+  ResultMsg res;
+  for (const BadSolve& b : bad) {
+    SolveRequestMsg req = good;
+    b.tweak(req);
+    ASSERT_FALSE(client->wait_result(client->submit(req), &res, &err))
+        << b.what;
+    EXPECT_EQ(err.code, b.code) << b.what << ": " << err.message;
+  }
+  ASSERT_TRUE(client->wait_result(client->submit(good), &res, &err))
+      << err.message;
+  EXPECT_EQ(res.status, static_cast<std::uint8_t>(service::JobStatus::kDone));
+  client->close();
+}
+
+TEST(NetE2E, UnplannableRequestsRefusedOnPartitionedDevice) {
+  // The default daemon posture: every job runs on its worker's slice of
+  // the machine's device. Each request below used to abort the daemon at
+  // plan time, or start a thread per requested block.
+  TestDaemon daemon(2, {}, /*partition_device=*/true);
+  SolveRequestMsg good;
+  good.graph_id = 1;
+  expect_refused_then_served(daemon, good, {
+      {"StackOnly start_depth at the decoder ceiling", [](auto& r) {
+         r.method = parallel::Method::kStackOnly;
+         r.config.start_depth = kMaxStartDepth;
+       }, ErrorCode::kBadPayload},
+      {"block size above the hardware limit",
+       [](auto& r) { r.config.block_size_override = 1 << 20; },
+       ErrorCode::kBadPayload},
+      {"PVC with k = 0",
+       [](auto& r) { r.config.problem = vc::Problem::kPvc; },
+       ErrorCode::kBadPayload},
+      {"grid_override above the thread cap",
+       [](auto& r) { r.config.grid_override = 2 * kMaxSolveThreads; },
+       ErrorCode::kNotAllowed},
+  });
+}
+
+TEST(NetE2E, UnplannableRequestsRefusedOnSubmittedDevice) {
+  // --no-partition: the submitted device spec runs verbatim, so its fields
+  // and the plan's resident grid come from the client.
+  TestDaemon daemon(1);
+  SolveRequestMsg good;
+  good.graph_id = 1;
+  good.config = deterministic_config();
+  const auto big_device = [](SolveRequestMsg& r) {
+    r.config.device.num_sms = 4 * kMaxSolveThreads;
+    r.config.device.max_blocks_per_sm = 2;
+    r.config.grid_override = 0;
+  };
+  expect_refused_then_served(daemon, good, {
+      {"zero shared memory per block",
+       [](auto& r) { r.config.device.shared_mem_per_block_bytes = 0; },
+       ErrorCode::kBadPayload},
+      {"fewer threads per SM than per block",
+       [](auto& r) { r.config.device.max_threads_per_sm = 1; },
+       ErrorCode::kBadPayload},
+      {"no stack fits global memory",
+       [](auto& r) { r.config.device.global_mem_bytes = 64; },
+       ErrorCode::kBadPayload},
+      {"plan's cooperative grid above the thread cap", big_device,
+       ErrorCode::kNotAllowed},
+      {"StackOnly resident slots above the thread cap", [&](auto& r) {
+         big_device(r);
+         r.method = parallel::Method::kStackOnly;
+         r.config.start_depth = 12;
+       }, ErrorCode::kNotAllowed},
+  });
 }
 
 }  // namespace

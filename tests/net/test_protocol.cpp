@@ -264,13 +264,12 @@ TEST(Protocol, SolveRequestRejectsOutOfRangeEnums) {
 }
 
 TEST(Protocol, OldLayoutSolveRequestRejected) {
-  // The solve request once carried an i32 WorkStealing advertisement
-  // interval right after the max-degree backend byte. A client still
-  // sending that layout produces a payload 4 bytes longer; it must be
-  // rejected as malformed, never misread or crash. With by_name=false the
-  // backend byte sits at offset 28 (u8 by_name, u64 graph_id, u8 method,
-  // u8 problem, i32 k, u8 semantics, u8 rules, u8 branch, u64 seed,
-  // u8 branch_state, u8 dispatch), so the old field started at 29.
+  // Two retired layouts, both longer than today's, must be rejected as
+  // malformed, never misread or crash. With by_name=false the dispatch byte
+  // sits at offset 27 (u8 by_name, u64 graph_id, u8 method, u8 problem,
+  // i32 k, u8 semantics, u8 rules, u8 branch, u64 seed, u8 branch_state).
+  // Both old layouts put a u8 maximum-degree backend at offset 28; the
+  // older one also an i32 WorkStealing advertisement interval at 29.
   SolveRequestMsg m;
   m.config.k = 5;
   std::vector<std::uint8_t> payload;
@@ -278,12 +277,16 @@ TEST(Protocol, OldLayoutSolveRequestRejected) {
   SolveRequestMsg d;
   ASSERT_TRUE(decode_solve_request(payload, &d));
 
+  std::vector<std::uint8_t> with_backend = payload;
+  with_backend.insert(with_backend.begin() + 28, std::uint8_t{0});
+  EXPECT_FALSE(decode_solve_request(with_backend, &d));
+
   for (std::uint8_t interval : {0, 4}) {
-    std::vector<std::uint8_t> old_layout = payload;
+    std::vector<std::uint8_t> with_interval = with_backend;
     const std::uint8_t field[4] = {interval, 0, 0, 0};
-    old_layout.insert(old_layout.begin() + 29, field, field + 4);
-    ASSERT_EQ(old_layout.size(), payload.size() + 4);
-    EXPECT_FALSE(decode_solve_request(old_layout, &d))
+    with_interval.insert(with_interval.begin() + 29, field, field + 4);
+    ASSERT_EQ(with_interval.size(), payload.size() + 5);
+    EXPECT_FALSE(decode_solve_request(with_interval, &d))
         << "interval=" << int{interval};
   }
 }

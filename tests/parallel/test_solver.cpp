@@ -162,6 +162,22 @@ TEST_P(AllMethodsTest, OptimumInvariantUnderBranchStrategy) {
   }
 }
 
+TEST(Solver, CheckSolvePlansLikeTheSolver) {
+  // star(1000): the greedy cover is the hub, so the solver's stack is 3
+  // degree arrays deep while a |V|-deep one fits no block. The check must
+  // take the greedy pass to accept it, and report the grid it launches.
+  const auto g = graph::star(1000);
+  ParallelConfig c;
+  c.device.global_mem_bytes = 64 * 1024;
+  int threads = 0;
+  ASSERT_EQ(check_solve(g, Method::kHybrid, c, &threads), nullptr);
+  EXPECT_EQ(static_cast<std::size_t>(threads),
+            solve(g, Method::kHybrid, c).launch.blocks.size());
+  c.device.global_mem_bytes = 1024;
+  EXPECT_STREQ(check_solve(g, Method::kHybrid, c, &threads),
+               "graph too large for device global memory");
+}
+
 TEST(Solver, ImbalanceRatioRecordedOncePerMultiBlockLaunch) {
   // gvc_solve_imbalance_ratio gets one sample per launch of >= 2 blocks:
   // max over mean of the blocks' CPU time, so never below 1.0. Sequential

@@ -111,6 +111,24 @@ TEST(StackOnly, LaunchStatsPopulated) {
   EXPECT_GT(r.plan.block_size, 0);
 }
 
+TEST(StackOnly, WorkspacePoolIsResidentSized) {
+  // Scratch is keyed on the resident slot, not the block: 1024 blocks on
+  // one slot share one workspace, and the serialized tree is unchanged.
+  auto g = graph::complement(graph::p_hat(30, 0.25, 0.75, 5));
+  ParallelConfig c = base_config();
+  c.device.num_sms = 1;
+  c.device.max_blocks_per_sm = 1;
+  c.start_depth = 10;
+  SolveWorkspace ws;
+  ParallelResult pooled = solve_stack_only(g, c, nullptr, &ws);
+  ParallelResult fresh = solve_stack_only(g, c);
+  ASSERT_EQ(pooled.plan.grid_size, 1);
+  EXPECT_EQ(pooled.launch.blocks.size(), 1u << c.start_depth);
+  EXPECT_EQ(ws.block_count(), 1u);
+  EXPECT_EQ(pooled.best_size, fresh.best_size);
+  EXPECT_EQ(pooled.tree_nodes, fresh.tree_nodes);
+}
+
 TEST(StackOnlyDeathTest, PvcRequiresK) {
   ParallelConfig c = base_config();
   c.problem = vc::Problem::kPvc;

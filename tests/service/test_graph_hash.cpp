@@ -123,17 +123,14 @@ TEST(ConfigHash, CoversResultShapingKnobs) {
   // cached, and requests differing only in budgets should share an entry.
 
   // Pure execution-policy knobs must NOT shape the key either: every
-  // branch-state mode, reduce-kernel specialization and max-degree backend
-  // produces bit-identical results by contract, so requests differing only
+  // branch-state mode and reduce-kernel specialization produces
+  // bit-identical results by contract, so requests differing only
   // in them share one cache entry.
   EXPECT_EQ(h, tweaked([](auto& c) {
     c.branch_state = vc::BranchStateMode::kCopy;
   }));
   EXPECT_EQ(h, tweaked([](auto& c) {
     c.kernel_dispatch = vc::KernelDispatch::kGeneric;
-  }));
-  EXPECT_EQ(h, tweaked([](auto& c) {
-    c.max_degree_backend = vc::MaxDegreeBackend::kBuckets;
   }));
 }
 

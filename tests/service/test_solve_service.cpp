@@ -123,10 +123,10 @@ TEST(SolveService, IdenticalInflightSubmissionsCoalesce) {
 }
 
 TEST(SolveService, ExecutionPolicyKnobsShareOneCacheEntry) {
-  // kernel_dispatch and max_degree_backend are execution policy (every
-  // setting produces bit-identical records), so they stay out of the cache
-  // key: a resubmission differing only in those knobs must be a pure cache
-  // hit, not a second solve.
+  // kernel_dispatch and branch_state are execution policy (every setting
+  // produces bit-identical records), so they stay out of the cache key: a
+  // resubmission differing only in those knobs must be a pure cache hit,
+  // not a second solve.
   ServiceOptions opts;
   opts.num_workers = 2;
   SolveService svc(opts);
@@ -135,14 +135,14 @@ TEST(SolveService, ExecutionPolicyKnobsShareOneCacheEntry) {
   spec.graph = share(graph::gnp(40, 0.25, 7));
   spec.method = Method::kSequential;
   spec.config.kernel_dispatch = vc::KernelDispatch::kAuto;
-  spec.config.max_degree_backend = vc::MaxDegreeBackend::kCachedHint;
+  spec.config.branch_state = vc::BranchStateMode::kUndoTrail;
 
   JobTicket first = svc.submit(spec);
   const ParallelResult& r1 = svc.wait(first);
   EXPECT_FALSE(first.cache_hit);
 
   spec.config.kernel_dispatch = vc::KernelDispatch::kGeneric;
-  spec.config.max_degree_backend = vc::MaxDegreeBackend::kBuckets;
+  spec.config.branch_state = vc::BranchStateMode::kCopy;
   JobTicket second = svc.submit(spec);
   const ParallelResult& r2 = svc.wait(second);
   EXPECT_TRUE(second.cache_hit);

@@ -127,7 +127,6 @@ TEST(SolverFlags, AllFlagsLand) {
                              "--branch", "mindegree",
                              "--branch-state", "copy",
                              "--kernel-dispatch", "generic",
-                             "--max-degree", "buckets",
                              "--seed", "99", "--grid", "4",
                              "--block-size", "128",
                              "--worklist-capacity", "512",
@@ -139,7 +138,6 @@ TEST(SolverFlags, AllFlagsLand) {
   EXPECT_EQ(config.branch, vc::BranchStrategy::kMinDegree);
   EXPECT_EQ(config.branch_state, vc::BranchStateMode::kCopy);
   EXPECT_EQ(config.kernel_dispatch, vc::KernelDispatch::kGeneric);
-  EXPECT_EQ(config.max_degree_backend, vc::MaxDegreeBackend::kBuckets);
   EXPECT_EQ(config.branch_seed, 99u);
   EXPECT_EQ(config.grid_override, 4);
   EXPECT_EQ(config.block_size_override, 128);
@@ -156,7 +154,6 @@ TEST(SolverFlags, RejectsUnknownEnumNames) {
       parse_solver_flags(args_of({"--branch-state", "cow"}), &config));
   EXPECT_FALSE(
       parse_solver_flags(args_of({"--kernel-dispatch", "magic"}), &config));
-  EXPECT_FALSE(parse_solver_flags(args_of({"--max-degree", "heap"}), &config));
 }
 
 // ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ TEST_P(BranchStrategySweep, SequentialOptimumInvariant) {
 }
 
 TEST(BranchStrategy, MaxDegreeTreeIsSmallestOnDenseGraphs) {
-  // The design rationale the paper inherits: branching on the max-degree
+  // The design rationale the paper inherits: branching on the maximum-degree
   // vertex removes the most vertices per branch. On dense graphs its tree
   // should never be (much) larger than the alternatives'.
   auto g = graph::complement(graph::p_hat(30, 0.3, 0.8, 3));

@@ -1,22 +1,18 @@
 // Unit tests for the kernel-dispatch layer (vc/kernel_dispatch.hpp): the
-// classifier's width/density/live-rule decisions at their exact boundaries,
-// the DegreeBuckets max-degree backend's bit-equivalence to the cached-hint
-// scan, and the end-to-end contract that neither knob changes a solve's
-// tree (same covers, same node counts).
+// classifier's width/live-rule decisions at their exact boundaries, and the
+// end-to-end contract that the knob never changes a solve's tree (same
+// covers, same node counts).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
-#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/ops.hpp"
-#include "vc/degree_buckets.hpp"
 #include "vc/kernel_dispatch.hpp"
 #include "vc/reductions.hpp"
 #include "vc/sequential.hpp"
-#include "vc/undo_trail.hpp"
 
 namespace gvc::vc {
 namespace {
@@ -32,22 +28,22 @@ TEST(Classify, WidthBoundariesFollowTheMaxDegreeBound) {
   // boundary.
   {
     DegreeArray da(graph::star(256));
-    EXPECT_EQ(classify(graph::star(256), da).width, DegreeWidth::kU8);
+    EXPECT_EQ(classify(da).width, DegreeWidth::kU8);
   }
   {
     CsrGraph g = graph::star(257);
     DegreeArray da(g);
-    EXPECT_EQ(classify(g, da).width, DegreeWidth::kU16);
+    EXPECT_EQ(classify(da).width, DegreeWidth::kU16);
   }
   {
     CsrGraph g = graph::star(65536);
     DegreeArray da(g);
-    EXPECT_EQ(classify(g, da).width, DegreeWidth::kU16);
+    EXPECT_EQ(classify(da).width, DegreeWidth::kU16);
   }
   {
     CsrGraph g = graph::star(65537);
     DegreeArray da(g);
-    EXPECT_EQ(classify(g, da).width, DegreeWidth::kU32);
+    EXPECT_EQ(classify(da).width, DegreeWidth::kU32);
   }
 }
 
@@ -58,39 +54,12 @@ TEST(Classify, WidthNarrowsAsTheBoundTightens) {
   // conservative one.)
   CsrGraph g = graph::star(300);
   DegreeArray da(g);
-  ASSERT_EQ(classify(g, da).width, DegreeWidth::kU16);
+  ASSERT_EQ(classify(da).width, DegreeWidth::kU16);
   da.remove_into_solution(g, 0);
   // The query rescans (smallest-id present vertex, now an isolated leaf)
   // and tightens the cached bound to 0 on the way.
   ASSERT_EQ(da.max_degree_vertex(), 1);
-  EXPECT_EQ(classify(g, da).width, DegreeWidth::kU8);
-}
-
-// ---- classify(): density class -----------------------------------------
-
-TEST(Classify, DensityThresholdIsExact) {
-  // cycle(n): |V'| = |E'| = n, so "2 * 8 * E >= V * (V - 1)" reads
-  // 16n >= n(n-1), i.e. dense iff n <= 17.
-  {
-    CsrGraph g = graph::cycle(17);
-    DegreeArray da(g);
-    EXPECT_EQ(classify(g, da).density, DensityClass::kDense);
-  }
-  {
-    CsrGraph g = graph::cycle(18);
-    DegreeArray da(g);
-    EXPECT_EQ(classify(g, da).density, DensityClass::kSparse);
-  }
-  {
-    CsrGraph g = graph::complete(16);
-    DegreeArray da(g);
-    EXPECT_EQ(classify(g, da).density, DensityClass::kDense);
-  }
-  {
-    CsrGraph g = graph::path(40);
-    DegreeArray da(g);
-    EXPECT_EQ(classify(g, da).density, DensityClass::kSparse);
-  }
+  EXPECT_EQ(classify(da).width, DegreeWidth::kU8);
 }
 
 // ---- classify(): live rules --------------------------------------------
@@ -107,23 +76,21 @@ TEST(Classify, LiveRulesReflectFixpointMaskAndDirtyLog) {
   ASSERT_TRUE(da.tracking());
   ASSERT_TRUE(da.dirty().empty());
   ASSERT_EQ(da.reduce_fixpoint_mask(), kRuleBitDegreeOne | kRuleBitDegreeTwo);
-  EXPECT_EQ(classify(g, da).live_rules, kRuleBitDomination);
+  EXPECT_EQ(classify(da).live_rules, 0);
 
   // A branch mutation drops two neighbors to degree 1: the dirty log now
   // holds degree-1 candidates, so the degree-one rule wakes up while the
   // degree-two rule stays dead (no candidate at its trigger).
   da.remove_into_solution(g, 0);
   ASSERT_FALSE(da.dirty().empty());
-  EXPECT_EQ(classify(g, da).live_rules,
-            kRuleBitDegreeOne | kRuleBitDomination);
+  EXPECT_EQ(classify(da).live_rules, kRuleBitDegreeOne);
 }
 
 TEST(Classify, EverythingLiveWithoutTrackingOrAfterOverflow) {
   CsrGraph g = graph::cycle(9);
-  const std::uint8_t all =
-      kRuleBitDegreeOne | kRuleBitDegreeTwo | kRuleBitDomination;
+  const std::uint8_t all = kRuleBitDegreeOne | kRuleBitDegreeTwo;
   DegreeArray da(g);
-  EXPECT_EQ(classify(g, da).live_rules, all);  // no tracking: no log to trust
+  EXPECT_EQ(classify(da).live_rules, all);  // no tracking: no log to trust
 
   // With a fixpoint mask but an overflowed log the refinement must not
   // apply either — the log is incomplete evidence.
@@ -135,7 +102,7 @@ TEST(Classify, EverythingLiveWithoutTrackingOrAfterOverflow) {
   for (int i = 0; i < 8; ++i)
     for (Vertex v = 0; v < da.num_vertices(); ++v) da.mark_dirty(v);
   ASSERT_TRUE(da.dirty_overflowed());
-  EXPECT_EQ(classify(g, da).live_rules, all);
+  EXPECT_EQ(classify(da).live_rules, all);
 }
 
 // ---- knob name round-trips ---------------------------------------------
@@ -146,102 +113,11 @@ TEST(KernelDispatchKnobs, ParseRoundTrips) {
   EXPECT_EQ(try_parse_kernel_dispatch("off"), KernelDispatch::kGeneric);
   EXPECT_FALSE(try_parse_kernel_dispatch("fast").has_value());
   EXPECT_STREQ(kernel_dispatch_name(KernelDispatch::kAuto), "auto");
-
-  EXPECT_EQ(try_parse_max_degree_backend("cachedhint"),
-            MaxDegreeBackend::kCachedHint);
-  EXPECT_EQ(try_parse_max_degree_backend("cached-hint"),
-            MaxDegreeBackend::kCachedHint);
-  EXPECT_EQ(try_parse_max_degree_backend("buckets"),
-            MaxDegreeBackend::kBuckets);
-  EXPECT_FALSE(try_parse_max_degree_backend("heap").has_value());
-  EXPECT_STREQ(max_degree_backend_name(MaxDegreeBackend::kBuckets),
-               "buckets");
 }
 
-// ---- DegreeBuckets: the alternative max-degree backend ------------------
+// ---- end-to-end: the knob is pure execution policy ----------------------
 
-std::vector<CsrGraph> bucket_instances(std::uint64_t seed) {
-  return {
-      graph::gnp(48, 0.15, seed + 1),
-      graph::barabasi_albert(40, 3, seed + 2),
-      graph::star(33),
-      graph::grid2d(6, 7),
-      graph::empty_graph(5),
-  };
-}
-
-TEST(DegreeBuckets, MatchesScanAnswerUnderMutation) {
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    for (const CsrGraph& g : bucket_instances(seed * 17)) {
-      DegreeArray plain(g);
-      DegreeArray tracked(g);
-      DegreeBuckets buckets;
-      buckets.build(tracked);
-      tracked.attach_buckets(&buckets);
-      for (;;) {
-        const Vertex want = plain.max_degree_vertex();
-        ASSERT_EQ(tracked.max_degree_vertex(), want);
-        if (want < 0) break;
-        plain.remove_into_solution(g, want);
-        tracked.remove_into_solution(g, want);
-      }
-      tracked.attach_buckets(nullptr);
-    }
-  }
-}
-
-TEST(DegreeBuckets, RollbackReplayKeepsBucketsConsistent) {
-  // Attach both a trail and buckets; roll back a batch of mutations and
-  // check the buckets answer like a fresh scan at the restored state.
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    CsrGraph g = graph::gnp(40, 0.18, seed * 7 + 3);
-    DegreeArray da(g);
-    UndoTrail trail;
-    da.attach_trail(&trail);
-    DegreeBuckets buckets;
-    buckets.build(da);
-    da.attach_buckets(&buckets);
-
-    const UndoTrail::Mark mark = trail.watermark(da);
-    const std::vector<std::int32_t> before = da.raw();
-    for (int i = 0; i < 4; ++i) {
-      const Vertex v = da.max_degree_vertex();
-      if (v < 0) break;
-      da.remove_into_solution(g, v);
-    }
-    trail.rollback(mark, da);
-    EXPECT_EQ(da.raw(), before);
-
-    DegreeArray fresh(g);
-    for (;;) {
-      const Vertex want = fresh.max_degree_vertex();
-      ASSERT_EQ(da.max_degree_vertex(), want);
-      if (want < 0) break;
-      fresh.remove_into_solution(g, want);
-      da.remove_into_solution(g, want);
-    }
-    da.attach_buckets(nullptr);
-    da.attach_trail(nullptr);
-  }
-}
-
-TEST(DegreeBuckets, CopiesDetachTheAccelerator) {
-  CsrGraph g = graph::gnp(24, 0.2, 11);
-  DegreeArray da(g);
-  DegreeBuckets buckets;
-  buckets.build(da);
-  da.attach_buckets(&buckets);
-  DegreeArray copy = da;  // a donated/pushed node must not share the buckets
-  copy.remove_into_solution(g, copy.max_degree_vertex());
-  // The original still answers from consistent buckets.
-  DegreeArray fresh(g);
-  EXPECT_EQ(da.max_degree_vertex(), fresh.max_degree_vertex());
-  da.attach_buckets(nullptr);
-}
-
-// ---- end-to-end: both knobs are pure execution policy -------------------
-
-TEST(KernelDispatchEndToEnd, SameTreeAcrossDispatchAndBackend) {
+TEST(KernelDispatchEndToEnd, SameTreeAcrossDispatchAndBranchState) {
   for (std::uint64_t seed = 0; seed < 3; ++seed) {
     for (const CsrGraph& g :
          {graph::gnp(40, 0.12, seed + 1),
@@ -253,26 +129,20 @@ TEST(KernelDispatchEndToEnd, SameTreeAcrossDispatchAndBackend) {
         SequentialConfig base;
         base.semantics = semantics;
         base.kernel_dispatch = KernelDispatch::kGeneric;
-        base.max_degree_backend = MaxDegreeBackend::kCachedHint;
         const SolveResult want = solve_sequential(g, base);
 
         for (KernelDispatch dispatch :
              {KernelDispatch::kGeneric, KernelDispatch::kAuto}) {
-          for (MaxDegreeBackend backend :
-               {MaxDegreeBackend::kCachedHint, MaxDegreeBackend::kBuckets}) {
-            for (BranchStateMode mode :
-                 {BranchStateMode::kUndoTrail, BranchStateMode::kCopy}) {
-              SequentialConfig config = base;
-              config.kernel_dispatch = dispatch;
-              config.max_degree_backend = backend;
-              config.branch_state = mode;
-              const SolveResult got = solve_sequential(g, config);
-              EXPECT_EQ(got.best_size, want.best_size);
-              EXPECT_EQ(got.tree_nodes, want.tree_nodes)
-                  << "dispatch=" << kernel_dispatch_name(dispatch)
-                  << " backend=" << max_degree_backend_name(backend);
-              EXPECT_EQ(got.cover, want.cover);
-            }
+          for (BranchStateMode mode :
+               {BranchStateMode::kUndoTrail, BranchStateMode::kCopy}) {
+            SequentialConfig config = base;
+            config.kernel_dispatch = dispatch;
+            config.branch_state = mode;
+            const SolveResult got = solve_sequential(g, config);
+            EXPECT_EQ(got.best_size, want.best_size);
+            EXPECT_EQ(got.tree_nodes, want.tree_nodes)
+                << "dispatch=" << kernel_dispatch_name(dispatch);
+            EXPECT_EQ(got.cover, want.cover);
           }
         }
       }

@@ -2,12 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/ops.hpp"
 #include "vc/greedy.hpp"
 #include "vc/oracle.hpp"
-#include "vc/reductions.hpp"
 
 namespace gvc::vc {
 namespace {
@@ -66,55 +64,6 @@ TEST(LocalSearch, DeterministicPerSeed) {
 TEST(LocalSearchDeathTest, RejectsInvalidStartingCover) {
   auto g = graph::path(4);
   EXPECT_DEATH(improve_cover(g, {0}), "valid cover");
-}
-
-TEST(Domination, ForcesDominatorIntoCover) {
-  // Triangle with a pendant on vertex 0: 0 dominates the pendant's edge...
-  // in K3 + pendant, N[3]={0,3} ⊆ N[0]={0,1,2,3}: 0 enters S.
-  auto g = graph::from_edges(4, {{0, 1}, {1, 2}, {0, 2}, {0, 3}});
-  DegreeArray da(g);
-  auto removed = apply_domination(g, da);
-  EXPECT_GE(removed, 1);
-  EXPECT_FALSE(da.present(0));
-  da.check_consistency(g);
-}
-
-TEST(Domination, TriangleCollapsesToOptimal) {
-  // In K3 every vertex dominates its neighbors; the rule fires twice and
-  // leaves an edgeless graph with |S| = 2 = optimum.
-  auto g = graph::complete(3);
-  DegreeArray da(g);
-  apply_domination(g, da);
-  EXPECT_EQ(da.num_edges(), 0);
-  EXPECT_EQ(da.solution_size(), 2);
-}
-
-TEST(Domination, InertOnC5) {
-  // C5 has no dominated edge: N[u] and N[v] always differ by the far
-  // neighbors.
-  auto g = graph::cycle(5);
-  DegreeArray da(g);
-  EXPECT_EQ(apply_domination(g, da), 0);
-}
-
-TEST(Domination, PreservesOptimumOnRandomGraphs) {
-  for (std::uint64_t seed = 0; seed < 12; ++seed) {
-    auto g = graph::gnp(15, 0.35, seed * 13 + 5);
-    int opt = oracle_mvc_size(g);
-    DegreeArray da(g);
-    apply_domination(g, da);
-    auto rest = graph::induced_subgraph(g, da.present_vertices());
-    EXPECT_EQ(da.solution_size() + oracle_mvc_size(rest), opt) << seed;
-  }
-}
-
-TEST(Domination, SubsumesDegreeOne) {
-  // On trees the domination rule alone reaches an edgeless graph (every
-  // leaf's support dominates it).
-  auto g = graph::random_tree(30, 17);
-  DegreeArray da(g);
-  apply_domination(g, da);
-  EXPECT_EQ(da.num_edges(), 0);
 }
 
 }  // namespace

@@ -26,7 +26,7 @@ void expect_fully_restored(const DegreeArray& got, const DegreeArray& want,
   EXPECT_EQ(got.dirty_overflowed(), want.dirty_overflowed());
   EXPECT_EQ(got.reduce_fixpoint_mask(), want.reduce_fixpoint_mask());
   EXPECT_EQ(got.dirty(), want.dirty());
-  got.check_consistency(g);  // aborts on a stale max-degree cache
+  got.check_consistency(g);  // aborts on a stale maximum-degree cache
 }
 
 TEST(UndoTrail, WatermarkRollbackRestoresState) {
@@ -182,33 +182,43 @@ TEST(UndoTrail, RollbackRestoresDirtyLogForTheIncrementalEngine) {
   expect_fully_restored(da, parent, g);
 }
 
-TEST(UndoTrail, CopiesAndMovesNeverInheritTheAttachment) {
-  CsrGraph g = graph::petersen();
+TEST(UndoTrail, CopiesStartDetached) {
+  // The sharing rule, both halves. Copy and move construction yield a
+  // detached array: a donated or pushed node mutates its own value without
+  // writing into the block's trail, so the block still rolls back exactly.
+  CsrGraph g = graph::gnp(24, 0.2, 11);
   DegreeArray da(g);
   UndoTrail trail;
   da.attach_trail(&trail);
+  const DegreeArray root = da;
+  const UndoTrail::Mark mark = trail.watermark(da);
+  da.remove_into_solution(g, da.max_degree_vertex());
+  const std::size_t recorded = trail.num_entries();
 
   DegreeArray copy = da;
   EXPECT_EQ(copy.trail(), nullptr);
-  EXPECT_EQ(da.trail(), &trail);
-
   DegreeArray assigned;
   assigned = da;
   EXPECT_EQ(assigned.trail(), nullptr);
-
-  // Assignment INTO an attached array keeps the destination's attachment
-  // (a block adopting a popped node stays attached to its own trail).
-  DegreeArray incoming(g);
-  da = incoming;
-  EXPECT_EQ(da.trail(), &trail);
-
-  DegreeArray moved = std::move(copy);
+  DegreeArray moved = std::move(assigned);
   EXPECT_EQ(moved.trail(), nullptr);
+  copy.remove_into_solution(g, copy.max_degree_vertex());
+  moved.remove_into_solution(g, moved.max_degree_vertex());
+  EXPECT_EQ(trail.num_entries(), recorded);
+  trail.rollback(mark, da);
+  expect_fully_restored(da, root, g);
 
-  // Mutating the detached copy records nothing.
-  const std::size_t before = trail.num_entries();
-  moved.remove_into_solution(g, 0);
-  EXPECT_EQ(trail.num_entries(), before);
+  // Assignment keeps the destination's attachment: a block adopting a
+  // popped node records the new value's mutations into its own trail and
+  // rolls back to the adopted value, not to what the array held before.
+  trail.reset();
+  da = copy;
+  EXPECT_EQ(da.trail(), &trail);
+  const DegreeArray adopted = da;
+  const UndoTrail::Mark adopted_mark = trail.watermark(da);
+  da.remove_into_solution(g, da.max_degree_vertex());
+  trail.rollback(adopted_mark, da);
+  expect_fully_restored(da, adopted, g);
 }
 
 TEST(UndoTrail, RollbackRestoresTheMaxDegreeCacheBound) {

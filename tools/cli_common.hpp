@@ -132,11 +132,11 @@ inline std::optional<parallel::Method> parse_method_flag(
 }
 
 /// Parses the solver-shape flags every tool shares into `config`:
-/// --problem/--k, --branch, --branch-state, --kernel-dispatch,
-/// --max-degree, --seed, --grid, --block-size, --worklist-capacity,
-/// --worklist-threshold, --start-depth. Absent flags keep the config's
-/// current values as defaults. Prints the offending flag and returns false
-/// on unknown enum names.
+/// --problem/--k, --branch, --branch-state, --kernel-dispatch, --seed,
+/// --grid, --block-size, --worklist-capacity, --worklist-threshold,
+/// --start-depth. Absent flags keep the config's current values as
+/// defaults. Prints the offending flag and returns false on unknown enum
+/// names.
 inline bool parse_solver_flags(const util::Args& args,
                                parallel::ParallelConfig* config) {
   if (args.has("problem")) {
@@ -182,17 +182,6 @@ inline bool parse_solver_flags(const util::Args& args,
       return false;
     }
     config->kernel_dispatch = *dispatch;
-  }
-  if (args.has("max-degree")) {
-    const std::optional<vc::MaxDegreeBackend> backend =
-        vc::try_parse_max_degree_backend(args.get("max-degree"));
-    if (!backend.has_value()) {
-      std::fprintf(stderr,
-                   "unknown --max-degree '%s' (want cachedhint|buckets)\n",
-                   args.get("max-degree").c_str());
-      return false;
-    }
-    config->max_degree_backend = *backend;
   }
   config->branch_seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<long long>(config->branch_seed)));

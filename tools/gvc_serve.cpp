@@ -36,8 +36,6 @@
 //   --kernel-dispatch S    auto|generic reduce-kernel selection for every
 //                          job's solve (default auto; NOT part of the cache
 //                          key — all kernels produce identical results)
-//   --max-degree S         cachedhint|buckets max-degree backend (default
-//                          cachedhint; also excluded from the cache key)
 //   --time-limit S         per-job solve budget (default 0 = none)
 //   --min-cache-seconds S  cost-aware cache admission: skip storing solves
 //                          cheaper than S seconds (default 0 = store all)
@@ -155,7 +153,7 @@ int main(int argc, char** argv) {
   base.limits.time_limit_s = args.get_double("time-limit", 0.0);
   base.deadline_s = args.get_double("deadline-ms", 0.0) * 1e-3;
   // Shared solver-shape flags (tools/cli_common.hpp): --branch-state,
-  // --kernel-dispatch, --max-degree and friends.
+  // --kernel-dispatch and friends.
   if (!tools::parse_solver_flags(args, &base.config)) return 64;
   const double cancel_after_ms = args.get_double("cancel-after-ms", 0.0);
   const double progress_every_s = args.get_double("progress-every", 0.0);

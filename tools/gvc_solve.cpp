@@ -15,12 +15,9 @@
 //                        copy-on-branch design; both produce the same tree;
 //                        globalonly and workstealing ignore it)
 //   --kernel-dispatch S  auto|generic (default auto — pick a reduce kernel
-//                        specialized for the block's degree width / density /
+//                        specialized for the block's degree width /
 //                        live-rule shape; generic forces the one-size
 //                        kernel; both produce the same tree)
-//   --max-degree S       cachedhint|buckets (default cachedhint — PR 1's
-//                        lazily-tightened bound cache; buckets maintains
-//                        exact degree buckets; both return the same vertex)
 //   --grid N             force the grid size (default: occupancy plan)
 //   --block-size N       force the block size in the §IV-E plan
 //   --worklist-capacity N   Hybrid/GlobalOnly queue entries (default 4096)
