@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the worklist substrate: broker
 // queue push/pop throughput — uncontended, contended, and with degree-array
-// payloads — plus the local stack. These are the §V-D "work distribution"
-// primitives; their cost is what the donation threshold amortizes.
+// payloads — plus the copy-mode descent's defer/next. These are the §V-D
+// "work distribution" primitives; their cost is what the donation threshold
+// amortizes.
 
 #include <benchmark/benchmark.h>
 
@@ -10,9 +11,10 @@
 #include "device/occupancy.hpp"  // degree_array_bytes
 #include "graph/generators.hpp"
 #include "vc/degree_array.hpp"
+#include "vc/descent.hpp"
+#include "vc/reductions.hpp"
 #include "worklist/broker_queue.hpp"
 #include "worklist/global_worklist.hpp"
-#include "worklist/local_stack.hpp"
 #include "worklist/steal_deque.hpp"
 
 namespace {
@@ -66,20 +68,27 @@ void BM_BrokerQueue_Contended(benchmark::State& state) {
 }
 BENCHMARK(BM_BrokerQueue_Contended);
 
-void BM_LocalStack_PushPop(benchmark::State& state) {
+void BM_Descent_CopyDeferNext(benchmark::State& state) {
+  // One kCopy branch round trip: defer the neighbors child into a stack
+  // slot, apply the vmax child in place, then move back to the deferred
+  // child. On a cycle the branch itself touches four vertices, so the time
+  // is the degree-array copies.
   const auto n = static_cast<gvc::graph::Vertex>(state.range(0));
-  auto g = gvc::graph::gnp(n, 0.1, 9);
-  gvc::worklist::LocalStack stack(n, 8);
-  gvc::vc::DegreeArray node(g);
-  gvc::vc::DegreeArray out;
+  auto g = gvc::graph::cycle(n);
+  gvc::vc::ReduceWorkspace ws;
+  gvc::vc::Descent descent(g, gvc::vc::BranchStateMode::kCopy, 8, ws);
+  const gvc::vc::DegreeArray root(g);
+  const gvc::graph::Vertex vmax = root.max_degree_vertex();
+  gvc::vc::DegreeArray da;
   for (auto _ : state) {
-    stack.push(node);
-    benchmark::DoNotOptimize(stack.try_pop(out));
+    da = root;
+    descent.branch(da, vmax);
+    benchmark::DoNotOptimize(descent.next(da));
   }
   state.SetBytesProcessed(state.iterations() *
                           gvc::device::degree_array_bytes(n));
 }
-BENCHMARK(BM_LocalStack_PushPop)->Arg(64)->Arg(512)->Arg(4096);
+BENCHMARK(BM_Descent_CopyDeferNext)->Arg(64)->Arg(512)->Arg(4096);
 
 void BM_GlobalWorklist_DonateRemove(benchmark::State& state) {
   auto g = gvc::graph::gnp(256, 0.05, 11);

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "util/check.hpp"
+#include "vc/descent.hpp"
 
 namespace gvc::parallel {
 
@@ -22,7 +23,7 @@ std::optional<BlockLaunch> try_plan_block_launch(const ParallelConfig& config,
   if (pooled && (config.start_depth < 0 || config.start_depth >= 24))
     return refuse("StackOnly start_depth outside [0, 24)");
   const std::int64_t depth_bound =
-      std::int64_t{mvc ? greedy_size : config.k} + 2;
+      vc::descent_depth_bound(config.problem, config.k, greedy_size);
   if (depth_bound > std::numeric_limits<int>::max())
     return refuse("search stack depth out of range");
   const std::optional<device::LaunchPlan> plan = device::try_plan_launch(

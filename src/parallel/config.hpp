@@ -90,9 +90,9 @@ struct ParallelConfig {
   /// vc::BranchStateMode). kUndoTrail (the default) backtracks by rolling
   /// an undo trail instead of restoring an O(|V|) copy and is bit-identical
   /// to kCopy; the paper-faithful harness pins kCopy (§IV-B's
-  /// self-contained nodes). GlobalOnly has no local descent and
-  /// WorkStealing publishes every neighbors child on its deque, so both
-  /// ignore this. Execution policy only — results are identical by
+  /// self-contained nodes). vc::Descent is the one place that reads it.
+  /// GlobalOnly has no local descent and WorkStealing publishes every
+  /// neighbors child on its deque, so both ignore this. Execution policy only — results are identical by
   /// contract — so like Limits it stays OUT of the result-cache key.
   vc::BranchStateMode branch_state = vc::BranchStateMode::kUndoTrail;
 
@@ -154,8 +154,8 @@ struct BlockLaunch {
                         ///< the plan's resident slots when pooled
 };
 
-/// Plans a block-solver launch; a block's stack holds greedy_size + 2
-/// entries for MVC, k + 2 for PVC. `pooled` is StackOnly's 2^start_depth
+/// Plans a block-solver launch; a block's stack holds
+/// vc::descent_depth_bound entries (greedy_size + 2 for MVC, k + 2 for PVC). `pooled` is StackOnly's 2^start_depth
 /// blocks drained by the plan's resident slots; otherwise the grid is
 /// cooperative: grid_override, or the plan's resident count. Returns
 /// nullopt with `*why` set when the config cannot launch. The solvers plan

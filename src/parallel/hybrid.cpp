@@ -10,12 +10,11 @@
 #include "util/check.hpp"
 #include "util/timer.hpp"
 #include "vc/branching.hpp"
+#include "vc/descent.hpp"
 #include "vc/greedy.hpp"
 #include "vc/reductions.hpp"
-#include "vc/undo_trail.hpp"
 #include "worklist/device_broker.hpp"
 #include "worklist/global_worklist.hpp"
-#include "worklist/local_stack.hpp"
 
 namespace gvc::parallel {
 
@@ -43,7 +42,6 @@ ParallelResult solve_hybrid(const CsrGraph& g, const ParallelConfig& config,
   const BlockLaunch launch = plan_block_launch(
       config, /*pooled=*/false, g.num_vertices(), greedy.size);
   result.plan = launch.plan;
-  const int depth_bound = launch.depth_bound;
 
   // Persistent grid: every block participates in the termination protocol,
   // so the grid size is exactly the resident-block count.
@@ -61,7 +59,6 @@ ParallelResult solve_hybrid(const CsrGraph& g, const ParallelConfig& config,
   // Seed: the worklist initially holds the root of the tree (§IV-A).
   worklist.add(vc::DegreeArray(g));
 
-  const Vertex n = g.num_vertices();
   if (workspace) workspace->prepare(grid);
 
   // Cross-device migration (steal tier 2): register this solve with the
@@ -78,52 +75,42 @@ ParallelResult solve_hybrid(const CsrGraph& g, const ParallelConfig& config,
   worklist::DeviceBroker::Group* migrate =
       steal_group.has_value() ? &*steal_group : nullptr;
 
-  // Apply/undo variant of the block loop: the local stack of self-contained
-  // nodes is replaced by the workspace's trail + frame stack. A deferred
-  // neighbors child is a frame (re-applied on backtrack); only a DONATED
-  // child is materialized, as a standalone snapshot, because it leaves the
-  // block. The donation gate is consulted before paying for that snapshot —
-  // with one block the pre-check matches try_donate()'s own gate exactly,
-  // which is what keeps single-block traversals bit-identical to kCopy.
-  auto body_undo_trail = [&](device::BlockContext& ctx) {
+  auto body = [&](device::BlockContext& ctx) {
     vc::DegreeArray da;
     vc::DegreeArray snapshot;  // reusable donation buffer
     vc::ReduceWorkspace local_ws;  // per-block reduce scratch (cold path)
     vc::ReduceWorkspace& ws =
         workspace ? workspace->block(ctx.block_id()) : local_ws;
-    vc::UndoTrail& trail = ws.undo_trail;
-    std::vector<vc::BranchFrame>& frames = ws.frames;
-    trail.reset();
-    frames.clear();
-    da.attach_trail(&trail);
+    vc::Descent descent(g, config.branch_state, launch.depth_bound, ws,
+                        &ctx.activities());
     NodeBatch nodes(shared);           // batched node accounting (limits)
     device::NodeCounter visited(ctx);  // batched Fig. 5 node counting
     bool enter = false;  // true while da holds an unprocessed node
 
     for (;;) {
+      // PVC: blocks check the found-flag before picking up new work (§IV-A);
+      // the abort latch (node/time budget) exits the same way.
       if (!mvc && shared.pvc_found()) return;
       if (shared.aborted()) {
         worklist.signal_stop();
         return;
       }
 
-      if (!enter) {
-        // Backtrack to the next deferred branch; when this root's sub-tree
-        // is exhausted, adopt a new root from the worklist (the incoming
-        // node replaces da's value wholesale, so the trail restarts empty).
-        if (!vc::retreat_to_next_branch(trail, frames, g, da,
-                                        &ctx.activities())) {
-          trail.reset();
-          std::uint64_t t0 = util::now_ns();
-          GlobalWorklist::RemoveOutcome out = worklist.remove(da);
-          std::uint64_t elapsed = util::now_ns() - t0;
-          if (out == GlobalWorklist::RemoveOutcome::kDone) {
-            ctx.activities().add(Activity::kTerminate, elapsed);
-            return;
-          }
-          ctx.activities().add(Activity::kWorklistRemove, elapsed);
-          adopt_node(da, ws);  // adopted a donated node
+      // Move on to the next deferred node; when this block's sub-tree is
+      // exhausted, adopt a new root from the worklist. Wall time on the
+      // activity clock, like every activity: the whole wait is charged, as
+      // SM cycles spent waiting are in Fig. 6.
+      if (!enter && !descent.next(da)) {
+        std::uint64_t t0 = util::now_ns();
+        GlobalWorklist::RemoveOutcome out = worklist.remove(da);
+        std::uint64_t elapsed = util::now_ns() - t0;
+        if (out == GlobalWorklist::RemoveOutcome::kDone) {
+          // Waiting that ends in termination is charged to "Terminate".
+          ctx.activities().add(Activity::kTerminate, elapsed);
+          return;
         }
+        ctx.activities().add(Activity::kWorklistRemove, elapsed);
+        descent.adopt(da);  // adopted a donated node
       }
       enter = false;
 
@@ -140,20 +127,22 @@ ParallelResult solve_hybrid(const CsrGraph& g, const ParallelConfig& config,
       }
       if (out != NodeOutcome::kBranch) continue;  // enter stays false: backtrack
 
-      // Branch: donate the neighbors child if a starved remote device or
-      // the worklist wants it (materialized as a snapshot — it leaves the
-      // block), otherwise defer it as a frame; then continue immediately
-      // with the vmax child. The broker outranks the worklist: remote
-      // demand means a whole device is idle, while the worklist threshold
-      // only signals local blocks MAY go hungry soon. With no broker (or
-      // no demand) the pre-existing single-device path runs unchanged.
+      // Branch (Fig. 4 lines 20-29): donate the neighbors child if a starved
+      // remote device or the worklist wants it, otherwise defer it; then
+      // continue immediately with the vmax child. The broker outranks the
+      // worklist: remote demand means a whole device is idle, while the
+      // worklist threshold only signals local blocks MAY go hungry soon.
+      // The donation snapshot is materialized only once a taker is on the
+      // table; with no broker (or no demand) the single-device path runs
+      // unchanged.
       bool donated = false;
+      const vc::DegreeArray* built = nullptr;
       const bool broker_wants = migrate != nullptr && migrate->want_export();
       // The gate is polled exactly when a LOCAL donation is on the table:
-      // up front in the no-broker path (bit-identical to the single-device
-      // build), or after a failed export — a fallback donation must clear
-      // the same gate it would have cleared without a broker, so attaching
-      // one never changes local donation pressure.
+      // up front in the no-broker path, or after a failed export — a
+      // fallback donation must clear the same gate it would have cleared
+      // without a broker, so attaching one never changes local donation
+      // pressure.
       bool gate_open = !broker_wants && worklist.poll_donate_gate();
       if (broker_wants || gate_open) {
         {
@@ -161,6 +150,7 @@ ParallelResult solve_hybrid(const CsrGraph& g, const ParallelConfig& config,
           snapshot = da;
           snapshot.remove_neighbors_into_solution(g, vmax);
         }
+        built = &snapshot;
         ActivityScope scope(ctx.activities(), Activity::kWorklistAdd);
         if (broker_wants) {
           donated = migrate->try_export(std::move(snapshot));
@@ -174,116 +164,10 @@ ParallelResult solve_hybrid(const CsrGraph& g, const ParallelConfig& config,
           if (donated) obs::trace_instant(obs::TraceCat::kWork, "donate");
         }
       }
-      {
-        ActivityScope scope(ctx.activities(), Activity::kStackPush);
-        frames.push_back({trail.watermark(da), vmax, !donated});
-      }
-      {
-        ActivityScope scope(ctx.activities(), Activity::kRemoveMaxVertex);
-        da.remove_into_solution(g, vmax);
-      }
+      // A snapshot that found no taker is deferred as is (copy mode).
+      descent.branch(da, vmax, /*neighbors_kept=*/!donated, built);
       enter = true;
     }
-  };
-
-  auto body_copy = [&](device::BlockContext& ctx) {
-    worklist::LocalStack stack(n, depth_bound);
-    vc::DegreeArray da;
-    vc::DegreeArray child;
-    vc::ReduceWorkspace local_ws;  // per-block reduce scratch (cold path)
-    vc::ReduceWorkspace& ws =
-        workspace ? workspace->block(ctx.block_id()) : local_ws;
-    NodeBatch nodes(shared);           // batched node accounting (limits)
-    device::NodeCounter visited(ctx);  // batched Fig. 5 node counting
-    bool get_new_node = true;
-
-    for (;;) {
-      // PVC: blocks check the found-flag before picking up new work (§IV-A);
-      // the abort latch (node/time budget) exits the same way.
-      if (!mvc && shared.pvc_found()) return;
-      if (shared.aborted()) {
-        worklist.signal_stop();
-        return;
-      }
-
-      if (get_new_node) {
-        bool popped;
-        {
-          ActivityScope scope(ctx.activities(), Activity::kStackPop);
-          popped = stack.try_pop(da);
-        }
-        if (popped) {
-          adopt_node(da, ws);  // fresh standalone node
-        } else {
-          // Wall time on the activity clock, like every activity: the whole
-          // wait is charged, as SM cycles spent waiting are in Fig. 6.
-          std::uint64_t t0 = util::now_ns();
-          GlobalWorklist::RemoveOutcome out = worklist.remove(da);
-          std::uint64_t elapsed = util::now_ns() - t0;
-          if (out == GlobalWorklist::RemoveOutcome::kDone) {
-            // Waiting that ends in termination is charged to "Terminate".
-            ctx.activities().add(Activity::kTerminate, elapsed);
-            return;
-          }
-          ctx.activities().add(Activity::kWorklistRemove, elapsed);
-          adopt_node(da, ws);  // adopted a donated node
-        }
-      }
-
-      Vertex vmax = -1;
-      NodeOutcome out =
-          process_node(g, config, shared, nodes, visited, ctx, da, ws, vmax);
-      if (out == NodeOutcome::kAbort) {
-        worklist.signal_stop();
-        return;
-      }
-      if (out == NodeOutcome::kFound && !mvc) {
-        worklist.signal_stop();
-        return;
-      }
-      if (out != NodeOutcome::kBranch) {
-        get_new_node = true;
-        continue;
-      }
-
-      // Branch (Fig. 4 lines 20-29): build the neighbors child, export it
-      // to a starved remote device first, else donate it to the worklist
-      // if below threshold, else keep it on the local stack; then continue
-      // immediately with the vmax child.
-      {
-        ActivityScope scope(ctx.activities(), Activity::kRemoveNeighbors);
-        child = da;
-        child.remove_neighbors_into_solution(g, vmax);
-      }
-      bool donated;
-      {
-        ActivityScope scope(ctx.activities(), Activity::kWorklistAdd);
-        donated = migrate != nullptr && migrate->want_export() &&
-                  migrate->try_export(std::move(child));
-        if (donated) {
-          obs::trace_instant(obs::TraceCat::kWork, "migrate");
-        } else {
-          donated = worklist.try_donate(std::move(child));
-          if (donated) obs::trace_instant(obs::TraceCat::kWork, "donate");
-        }
-      }
-      if (!donated) {
-        ActivityScope scope(ctx.activities(), Activity::kStackPush);
-        stack.push(child);
-      }
-      {
-        ActivityScope scope(ctx.activities(), Activity::kRemoveMaxVertex);
-        da.remove_into_solution(g, vmax);
-      }
-      get_new_node = false;
-    }
-  };
-
-  auto body = [&](device::BlockContext& ctx) {
-    if (config.branch_state == vc::BranchStateMode::kUndoTrail)
-      body_undo_trail(ctx);
-    else
-      body_copy(ctx);
   };
 
   device::VirtualDevice dev(config.device);

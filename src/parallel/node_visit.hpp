@@ -1,14 +1,12 @@
 #pragma once
 
 // One branch-and-reduce node visit (Fig. 1 lines 3-19, Fig. 4 lines 7-19),
-// shared by the block loops of StackOnly, Hybrid and WorkStealing — and by
-// BOTH branch-state engines of each. Keeping the visit in one place is what
-// guarantees a future change to the accounting, the prune bound, or the
-// cover harvest cannot split the kCopy/kUndoTrail bit-identity contract:
-// the engines may differ ONLY in how they carry state between visits.
-
-#include <utility>
-#include <vector>
+// shared by the block loops of StackOnly, Hybrid, GlobalOnly and
+// WorkStealing and by the migrated-node drain. Keeping the visit in one
+// place is what guarantees a future change to the accounting, the prune
+// bound, or the cover harvest cannot split the kCopy/kUndoTrail bit-identity
+// contract: how a block carries state between visits is vc::Descent's
+// business (vc/descent.hpp), not the loops'.
 
 #include "device/virtual_device.hpp"
 #include "obs/trace.hpp"
@@ -16,22 +14,12 @@
 #include "parallel/shared_state.hpp"
 #include "util/timer.hpp"
 #include "vc/branching.hpp"
+#include "vc/descent.hpp"
 #include "vc/reductions.hpp"
 
 namespace gvc::parallel {
 
 enum class NodeOutcome { kAbort, kPruned, kFound, kBranch };
-
-/// A block picked up a root or donated node (worklist removal, steal, stack
-/// pop): invalidate the workspace's cached KernelTag so the next reduce()
-/// re-classifies for the adopted lineage. Every pickup site of the four
-/// block solvers calls this — it is the "connection time" of the dispatch
-/// design (see vc/kernel_dispatch.hpp).
-inline void adopt_node(const vc::DegreeArray& da,
-                       vc::ReduceWorkspace& workspace) {
-  obs::trace_instant(obs::TraceCat::kWork, "adopt", "edges", da.num_edges());
-  vc::adopt_node(workspace);
-}
 
 /// One visit: account the node against the shared limits, reduce, stopping
 /// condition (§II-B), cover check, branch selection. On kBranch, vmax_out
@@ -89,19 +77,19 @@ inline NodeOutcome process_node(const graph::CsrGraph& g,
 }
 
 /// Runs one migrated (or reclaimed) donation snapshot to exhaustion against
-/// its owning solve's SharedSearch: a self-contained copy-mode DFS built
-/// from the same adopt_node()/process_node() visit the block loops use, so
-/// a node that crossed a device boundary is explored under exactly the
-/// owner's semantics — same prune bound (the owner's live `best`), same
-/// budgets, same cover harvest. The caller provides its OWN reduce scratch
-/// (an importing service worker passes its workspace; the owner's reclaim
-/// path passes one of its launch's). Never re-exports: a migrated subtree
-/// is drained where it landed, which is what makes the broker's
-/// executed-or-abandoned accounting exact. Stops early — like any block —
-/// when the shared search aborts or a PVC cover is latched.
+/// its owning solve's SharedSearch: a depth-first Descent (under the solve's
+/// branch-state mode) over the same process_node() visit the block loops
+/// use, so a node that crossed a device boundary is explored under exactly
+/// the owner's semantics — same prune bound (the owner's live `best`), same
+/// budgets, same cover harvest. The caller provides its OWN reduce scratch,
+/// trail included (an importing service worker passes its idle workspace;
+/// the owner's reclaim path passes a fresh one). Never re-exports: a
+/// migrated subtree is drained where it landed, which is what makes the
+/// broker's executed-or-abandoned accounting exact. Stops early — like any
+/// block — when the shared search aborts or a PVC cover is latched.
 inline void drain_subtree(const graph::CsrGraph& g,
                           const ParallelConfig& config, SharedSearch& shared,
-                          vc::DegreeArray root, vc::ReduceWorkspace& ws) {
+                          vc::DegreeArray da, vc::ReduceWorkspace& ws) {
   // Instrumentation sinks: migrated nodes run outside any launch, so block
   // stats go nowhere (the service charges the wall time to its own phase
   // table); shared-node accounting still flows through NodeBatch.
@@ -110,28 +98,25 @@ inline void drain_subtree(const graph::CsrGraph& g,
   device::NodeCounter visited(ctx);
   const bool mvc = config.problem == vc::Problem::kMvc;
 
-  std::vector<vc::DegreeArray> stack;
-  stack.push_back(std::move(root));
-  while (!stack.empty()) {
+  // `best` only falls, so its value now bounds the depth below this node.
+  vc::Descent descent(
+      g, config.branch_state,
+      vc::descent_depth_bound(config.problem, config.k, shared.best()), ws);
+  descent.adopt(da);
+  for (;;) {
     if (!mvc && shared.pvc_found()) return;
     if (shared.aborted()) return;
-
-    vc::DegreeArray da = std::move(stack.back());
-    stack.pop_back();
-    adopt_node(da, ws);
 
     graph::Vertex vmax = -1;
     NodeOutcome out =
         process_node(g, config, shared, nodes, visited, ctx, da, ws, vmax);
     if (out == NodeOutcome::kAbort) return;
     if (out == NodeOutcome::kFound && !mvc) return;
-    if (out != NodeOutcome::kBranch) continue;
-
-    vc::DegreeArray child = da;
-    child.remove_neighbors_into_solution(g, vmax);
-    da.remove_into_solution(g, vmax);
-    stack.push_back(std::move(child));
-    stack.push_back(std::move(da));
+    if (out == NodeOutcome::kBranch) {
+      descent.branch(da, vmax);
+      continue;
+    }
+    if (!descent.next(da)) return;
   }
 }
 

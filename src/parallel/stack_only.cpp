@@ -7,10 +7,9 @@
 #include "util/check.hpp"
 #include "util/timer.hpp"
 #include "vc/branching.hpp"
+#include "vc/descent.hpp"
 #include "vc/greedy.hpp"
 #include "vc/reductions.hpp"
-#include "vc/undo_trail.hpp"
-#include "worklist/local_stack.hpp"
 
 namespace gvc::parallel {
 
@@ -43,12 +42,10 @@ ParallelResult solve_stack_only(const CsrGraph& g,
   const BlockLaunch launch = plan_block_launch(
       config, /*pooled=*/true, g.num_vertices(), greedy.size);
   result.plan = launch.plan;
-  const int depth_bound = launch.depth_bound;
 
   SharedSearch shared(config.problem, config.k, greedy.size,
                       std::move(greedy.cover), control);
 
-  const Vertex n = g.num_vertices();
   // Scratch is keyed on the resident slot, not the block, so the pool
   // stays resident-sized however deep the start frontier is.
   if (workspace) workspace->prepare(launch.threads);
@@ -64,7 +61,9 @@ ParallelResult solve_stack_only(const CsrGraph& g,
     vc::ReduceWorkspace local_ws;  // per-block reduce scratch (cold path)
     vc::ReduceWorkspace& ws =
         workspace ? workspace->block(ctx.slot_id()) : local_ws;
-    adopt_node(da, ws);                // root pickup
+    vc::Descent descent(g, config.branch_state, launch.depth_bound, ws,
+                        &ctx.activities());
+    descent.adopt(da);                 // root pickup
     NodeBatch nodes(shared);           // batched node accounting (limits)
     device::NodeCounter visited(ctx);  // batched Fig. 5 node counting
     Vertex vmax = -1;
@@ -81,73 +80,18 @@ ParallelResult solve_stack_only(const CsrGraph& g,
       }
     }
 
-    // Phase 2 — depth-first traversal of the sub-tree. Nothing in this
-    // sub-tree ever leaves the block, so the apply/undo engine needs no
-    // snapshot path at all: a branch is a watermark + an in-place mutation,
-    // a backtrack is a trail rollback. kCopy keeps the paper's
-    // pre-allocated local stack of self-contained nodes.
-    if (config.branch_state == vc::BranchStateMode::kUndoTrail) {
-      vc::UndoTrail& trail = ws.undo_trail;
-      std::vector<vc::BranchFrame>& frames = ws.frames;
-      trail.reset();
-      frames.clear();
-      da.attach_trail(&trail);
-      bool have_node = true;
-      while (have_node) {
-        if (!mvc && shared.pvc_found()) break;
-        NodeOutcome out =
-            process_node(g, config, shared, nodes, visited, ctx, da, ws, vmax);
-        if (out == NodeOutcome::kAbort) break;
-        if (out == NodeOutcome::kBranch) {
-          {
-            ActivityScope scope(ctx.activities(), Activity::kStackPush);
-            frames.push_back({trail.watermark(da), vmax, true});
-          }
-          ActivityScope scope(ctx.activities(), Activity::kRemoveMaxVertex);
-          da.remove_into_solution(g, vmax);
-          continue;
-        }
-        have_node =
-            vc::retreat_to_next_branch(trail, frames, g, da, &ctx.activities());
-      }
-      da.attach_trail(nullptr);
-      return;
-    }
-
-    worklist::LocalStack stack(n, depth_bound);
-    bool have_node = true;
-    vc::DegreeArray child;
+    // Phase 2 — depth-first traversal of the sub-tree. Nothing in it ever
+    // leaves the block, so every neighbors child is deferred.
     for (;;) {
-      if (!have_node) {
-        {
-          ActivityScope scope(ctx.activities(), Activity::kStackPop);
-          if (!stack.try_pop(da)) break;  // sub-tree exhausted
-        }
-        adopt_node(da, ws);  // fresh standalone node
-      }
       if (!mvc && shared.pvc_found()) return;
-
       NodeOutcome out =
           process_node(g, config, shared, nodes, visited, ctx, da, ws, vmax);
       if (out == NodeOutcome::kAbort) return;
-      if (out != NodeOutcome::kBranch) {
-        have_node = false;
+      if (out == NodeOutcome::kBranch) {
+        descent.branch(da, vmax);
         continue;
       }
-      {
-        ActivityScope scope(ctx.activities(), Activity::kRemoveNeighbors);
-        child = da;
-        child.remove_neighbors_into_solution(g, vmax);
-      }
-      {
-        ActivityScope scope(ctx.activities(), Activity::kStackPush);
-        stack.push(child);
-      }
-      {
-        ActivityScope scope(ctx.activities(), Activity::kRemoveMaxVertex);
-        da.remove_into_solution(g, vmax);
-      }
-      have_node = true;
+      if (!descent.next(da)) return;  // sub-tree exhausted
     }
   };
 

@@ -113,4 +113,13 @@ class ActivityScope {
   std::uint64_t start_;
 };
 
+/// Runs `fn` and returns its result, charging its wall time to `a` when
+/// `acc` is non-null.
+template <typename Fn>
+auto timed(ActivityAccumulator* acc, Activity a, Fn&& fn) {
+  if (!acc) return fn();
+  ActivityScope scope(*acc, a);
+  return fn();
+}
+
 }  // namespace gvc::util

@@ -180,12 +180,7 @@ std::int64_t high_degree_sweep(const CsrGraph& g, DegreeArray& da,
   return removed;
 }
 
-template <typename Fn>
-auto timed(util::ActivityAccumulator* acc, util::Activity a, Fn&& fn) {
-  if (!acc) return fn();
-  util::ActivityScope scope(*acc, a);
-  return fn();
-}
+using util::timed;
 
 // --- shape-specialized sweep kernels (KernelDispatch::kAuto) ----------------
 //
@@ -932,6 +927,11 @@ std::int64_t apply_high_degree(const CsrGraph& g, DegreeArray& da,
   }
   GVC_CHECK(false);
   return 0;
+}
+
+void adopt_node(const DegreeArray& da, ReduceWorkspace& ws) {
+  obs::trace_instant(obs::TraceCat::kWork, "adopt", "edges", da.num_edges());
+  ws.kernel_tag_valid = false;
 }
 
 ReduceStats reduce(const CsrGraph& g, DegreeArray& da,

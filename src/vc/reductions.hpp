@@ -61,10 +61,9 @@
 //     the degree-1 and degree-2 seed lists in ONE linear scan instead of
 //     two.
 //
-// The tag is classified when a block ADOPTS a node (adopt_node in
-// parallel/node_visit.hpp) and re-validated only on cheap signals — a
-// dirty-log overflow, or adoption itself; see kernel_dispatch.hpp for why
-// that is sound across a descent.
+// The tag is classified when a block ADOPTS a node (adopt_node below) and
+// re-validated only on cheap signals — a dirty-log overflow, or adoption
+// itself; see kernel_dispatch.hpp for why that is sound across a descent.
 //
 // CONTRACT: the dispatch knob is execution policy, exactly like
 // BranchStateMode. Every specialization produces BIT-IDENTICAL state
@@ -81,7 +80,7 @@
 #include "util/timer.hpp"
 #include "vc/degree_array.hpp"
 #include "vc/kernel_dispatch.hpp"
-#include "vc/undo_trail.hpp"
+#include "vc/descent.hpp"
 
 namespace gvc::vc {
 
@@ -149,11 +148,11 @@ struct ReduceWorkspace {
   bool kernel_tag_valid = false;
 
   /// Apply/undo branching scratch (BranchStateMode::kUndoTrail): the
-  /// per-block mutation trail and the deferred-branch frame stack of the
-  /// depth-first descent. Living here means every solver that already
-  /// carries a per-block ReduceWorkspace — Sequential, the four local-stack
-  /// backends, kernelized solves — shares one trail implementation and one
-  /// warm buffer across tree nodes and across jobs.
+  /// mutation trail and the deferred-branch frame stack a trail-mode
+  /// vc::Descent drives. Living here means every depth-first loop that
+  /// already carries a per-block ReduceWorkspace — Sequential, StackOnly,
+  /// Hybrid, the migrated-node drain — keeps one warm buffer across tree
+  /// nodes and across jobs. One Descent at a time per workspace.
   UndoTrail undo_trail;
   std::vector<BranchFrame> frames;
 };
@@ -200,11 +199,12 @@ ReduceStats reduce(const CsrGraph& g, DegreeArray& da,
                    ReduceWorkspace* ws = nullptr,
                    KernelDispatch dispatch = KernelDispatch::kGeneric);
 
-/// An engine has picked up a root or donated node: invalidate the
-/// workspace's cached KernelTag so the next reduce() re-classifies for the
-/// adopted lineage. Called by solve_sequential at its root / stack pops and
-/// wrapped by parallel::adopt_node for the block solvers.
-inline void adopt_node(ReduceWorkspace& ws) { ws.kernel_tag_valid = false; }
+/// An engine has picked up a standalone node (a root, a worklist removal, a
+/// steal, a local-stack pop): invalidate the workspace's cached KernelTag so
+/// the next reduce() re-classifies for the adopted lineage. Every pickup
+/// site calls this — it is the "connection time" of the dispatch design
+/// (see vc/kernel_dispatch.hpp).
+void adopt_node(const DegreeArray& da, ReduceWorkspace& ws);
 
 // Individual rules, each applied to its own fixpoint; exposed for unit
 // testing. Each returns the number of vertices moved into S. Under

@@ -7,8 +7,8 @@
 #include "graph/ops.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
+#include "vc/descent.hpp"
 #include "vc/greedy.hpp"
-#include "vc/undo_trail.hpp"
 
 namespace gvc::vc {
 
@@ -43,20 +43,19 @@ SolveResult solve_sequential(const CsrGraph& g, const SequentialConfig& config,
   bool pvc_found = false;
   std::vector<Vertex> pvc_cover;
 
-  // One workspace for the whole search: reduce() reuses its buffers (and in
-  // kUndoTrail mode the trail and frame stack) instead of allocating scratch
-  // per tree node. A caller-provided workspace extends the reuse across
+  // One workspace for the whole search: reduce() reuses its buffers (and the
+  // Descent its trail and frame stack) instead of allocating scratch per
+  // tree node. A caller-provided workspace extends the reuse across
   // searches.
   ReduceWorkspace local_ws;
   ReduceWorkspace& ws = workspace ? *workspace : local_ws;
 
   StopCause stop = StopCause::kNone;
 
-  // One visit of Fig. 1, shared by both traversal engines: stop checks,
-  // reduce, stopping condition, cover harvest, branch selection. The two
-  // engines below differ ONLY in how they carry state to the next node —
-  // copies on an explicit stack vs apply/undo on one array — so they visit
-  // the same nodes in the same order and the results are bit-identical.
+  // One visit of Fig. 1: stop checks, reduce, stopping condition, cover
+  // harvest, branch selection. How state is carried to the next node is the
+  // Descent's business (vc/descent.hpp), so both branch-state modes visit
+  // the same nodes in the same order.
   enum class Visit { kStop, kPruned, kCover, kBranch };
   Vertex vmax = -1;
   auto process_node = [&](DegreeArray& da) -> Visit {
@@ -123,59 +122,22 @@ SolveResult solve_sequential(const CsrGraph& g, const SequentialConfig& config,
     return Visit::kBranch;
   };
 
-  if (config.branch_state == BranchStateMode::kUndoTrail) {
-    // Apply/undo engine: one array for the whole search. A branch pushes a
-    // watermark and applies the vmax decision in place; backtracking rolls
-    // the trail back to the innermost watermark and re-applies the deferred
-    // neighbors decision (Fig. 1's recursion order: G − vmax first, then
-    // G − N(vmax)). Per-node state cost is the trail entries the node's
-    // mutations recorded — O(changed), not O(|V|).
-    UndoTrail& trail = ws.undo_trail;
-    std::vector<BranchFrame>& frames = ws.frames;
-    trail.reset();
-    frames.clear();
-
-    DegreeArray da(g);
-    da.attach_trail(&trail);
-    adopt_node(ws);  // root pickup
-    bool have_node = true;
-    while (have_node) {
-      const Visit visit = process_node(da);
-      if (visit == Visit::kStop) break;
-      if (visit == Visit::kBranch) {
-        frames.push_back({trail.watermark(da), vmax, true});
-        da.remove_into_solution(g, vmax);
-        continue;
-      }
-      if (visit == Visit::kCover && !mvc)
-        break;  // PVC ends the search at the first cover of size ≤ k
-      have_node = retreat_to_next_branch(trail, frames, g, da);
+  // Fig. 1 recurses on (G − vmax) first, then (G − N(vmax)): the vmax child
+  // continues in place and the neighbors child is deferred.
+  Descent descent(g, config.branch_state,
+                  descent_depth_bound(config.problem, k, greedy.size), ws);
+  DegreeArray da(g);
+  descent.adopt(da);  // root pickup
+  for (;;) {
+    const Visit visit = process_node(da);
+    if (visit == Visit::kStop) break;
+    if (visit == Visit::kBranch) {
+      descent.branch(da, vmax);
+      continue;
     }
-    da.attach_trail(nullptr);
-  } else {
-    std::vector<DegreeArray> stack;
-    stack.emplace_back(g);
-    while (!stack.empty()) {
-      DegreeArray da = std::move(stack.back());
-      stack.pop_back();
-      adopt_node(ws);  // fresh standalone node
-
-      const Visit visit = process_node(da);
-      if (visit == Visit::kStop) break;
-      if (visit == Visit::kPruned) continue;
-      if (visit == Visit::kCover) {
-        if (!mvc) break;  // PVC ends the search at the first cover of size ≤ k
-        continue;
-      }
-
-      // Fig. 1 recurses on (G − vmax) first, then (G − N(vmax)); with a LIFO
-      // stack the vmax child must be pushed last.
-      DegreeArray neighbors_child = da;
-      neighbors_child.remove_neighbors_into_solution(g, vmax);
-      da.remove_into_solution(g, vmax);
-      stack.push_back(std::move(neighbors_child));
-      stack.push_back(std::move(da));
-    }
+    if (visit == Visit::kCover && !mvc)
+      break;  // PVC ends the search at the first cover of size ≤ k
+    if (!descent.next(da)) break;
   }
 
   result.seconds = timer.seconds();

@@ -5,6 +5,7 @@
 // recursion, but immune to host stack limits on deep instances).
 
 #include "vc/branching.hpp"
+#include "vc/reductions.hpp"
 #include "vc/solve_types.hpp"
 
 namespace gvc::vc {

@@ -24,9 +24,11 @@
 
 #include "graph/csr.hpp"
 #include "util/timer.hpp"
-#include "vc/reductions.hpp"
 
 namespace gvc::vc {
+
+using graph::CsrGraph;
+using graph::Vertex;
 
 /// The two problem formulations of §II-A.
 enum class Problem {
@@ -35,12 +37,15 @@ enum class Problem {
 };
 
 /// How the depth-first solvers carry search-tree state across a branch —
-/// the ablation axis of bench/ablation_branch_state:
+/// the ablation axis of bench/ablation_branch_state. vc::Descent
+/// (vc/descent.hpp) is the one place that reads it; every depth-first loop
+/// (Sequential, StackOnly, Hybrid, the migrated-node drain) runs through a
+/// Descent and is written once for both modes:
 ///
-///   kCopy      — copy the whole degree array into each child (the paper's
-///                self-contained-node design, §IV-B): O(|V|) memory traffic
-///                per tree node, independent of how little the branch
-///                changed.
+///   kCopy      — copy the whole degree array into each deferred child (the
+///                paper's self-contained-node design, §IV-B): O(|V|) memory
+///                traffic per tree node, independent of how little the
+///                branch changed.
 ///   kUndoTrail — keep ONE array per block, record every mutation on an
 ///                UndoTrail (vc/undo_trail.hpp), and roll back to the
 ///                branch watermark instead of restoring a copy: O(changed)

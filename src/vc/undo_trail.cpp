@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/trace.hpp"
 #include "util/check.hpp"
 
 namespace gvc::vc {
@@ -72,37 +71,6 @@ void UndoTrail::reset() {
   entries_.clear();
   marks_.clear();
   saved_dirty_.clear();
-}
-
-bool retreat_to_next_branch(UndoTrail& trail, std::vector<BranchFrame>& frames,
-                            const graph::CsrGraph& g, DegreeArray& da,
-                            util::ActivityAccumulator* acc) {
-  obs::trace_instant_sampled(obs::TraceCat::kBranch, "undo", "depth",
-                             static_cast<std::int64_t>(frames.size()));
-  while (!frames.empty()) {
-    BranchFrame& f = frames.back();
-    // Undo the child sub-tree just completed (the vmax child on the first
-    // visit, the neighbors child on the second).
-    if (acc) {
-      util::ActivityScope scope(*acc, util::Activity::kStackPop);
-      trail.rollback(f.mark, da);
-    } else {
-      trail.rollback(f.mark, da);
-    }
-    if (f.neighbors_pending) {
-      f.neighbors_pending = false;
-      f.mark = trail.watermark(da);
-      if (acc) {
-        util::ActivityScope scope(*acc, util::Activity::kRemoveNeighbors);
-        da.remove_neighbors_into_solution(g, f.vmax);
-      } else {
-        da.remove_neighbors_into_solution(g, f.vmax);
-      }
-      return true;
-    }
-    frames.pop_back();
-  }
-  return false;
 }
 
 }  // namespace gvc::vc

@@ -25,18 +25,19 @@
 // (tests/integration/test_random_differential.cpp) enforces this across
 // every solver.
 //
-// Sharing rule: the trail is private to the owning block. A node that
-// leaves the block — a global-worklist donation, a cross-device export —
-// must be materialized as a standalone snapshot (a plain DegreeArray copy,
-// which never inherits the trail attachment; see DegreeArray's copy
-// semantics). WorkStealing has no trail engine: it publishes every
-// neighbors child on its deque, so nothing it defers is private.
+// Sharing rule: the trail is private to the owning block's vc::Descent
+// (vc/descent.hpp), the only code that watermarks and rolls it back in a
+// solve. A node that leaves the block — a global-worklist donation, a
+// cross-device export — must be materialized as a standalone snapshot (a
+// plain DegreeArray copy, which never inherits the trail attachment; see
+// DegreeArray's copy semantics).
+// WorkStealing and GlobalOnly run no Descent: they publish every child they
+// do not continue on, so nothing they defer is private.
 
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
-#include "util/timer.hpp"
 #include "vc/degree_array.hpp"
 
 namespace gvc::vc {
@@ -76,10 +77,10 @@ class UndoTrail {
     entries_.push_back({v, old_degree});
   }
 
-  /// Discards all entries and watermarks. Solvers call this before adopting
-  /// a new root (a worklist removal or a steal) — the incoming node replaces
-  /// the array's value wholesale, so nothing recorded for the old value is
-  /// meaningful.
+  /// Discards all entries and watermarks. Descent::adopt() calls this when
+  /// its block picks up a standalone node (a root, a worklist removal, a
+  /// migrated node) — the incoming node replaces the array's value
+  /// wholesale, so nothing recorded for the old value is meaningful.
   void reset();
 
   /// Live entries (across all open watermarks).
@@ -133,28 +134,5 @@ class UndoTrail {
   std::uint64_t lifetime_entries_ = 0;
   std::uint64_t lifetime_watermarks_ = 0;
 };
-
-/// One deferred branch of the apply/undo descent: the watermark taken just
-/// before the vmax child was applied, the branching vertex, and whether the
-/// neighbors child still awaits exploration. neighbors_pending is false when
-/// that child left the block instead (donated to the global worklist or
-/// exported to another device).
-struct BranchFrame {
-  UndoTrail::Mark mark;
-  graph::Vertex vmax;
-  bool neighbors_pending;
-};
-
-/// The backtracking step every depth-first solver shares in kUndoTrail mode:
-/// rolls `da` back frame by frame until a deferred neighbors child is found,
-/// applies it (recording through the attached trail), and returns true with
-/// `da` positioned on that unexplored node and the frame's watermark
-/// re-armed. Returns false when the frame stack is exhausted (the sub-tree
-/// rooted at the oldest frame is complete). When `acc` is non-null, rollback
-/// time is charged to kStackPop and the re-apply to kRemoveNeighbors, so the
-/// Fig. 6-style breakdowns stay comparable with the copying engines.
-bool retreat_to_next_branch(UndoTrail& trail, std::vector<BranchFrame>& frames,
-                            const graph::CsrGraph& g, DegreeArray& da,
-                            util::ActivityAccumulator* acc = nullptr);
 
 }  // namespace gvc::vc

@@ -62,12 +62,9 @@ class GlobalWorklist {
 
   /// The threshold gate of try_donate() without the push: returns whether a
   /// donation issued now would pass, counting a threshold rejection exactly
-  /// like try_donate() does. The apply/undo solvers consult this BEFORE
-  /// paying for the donation snapshot — a copying solver has the child in
-  /// hand anyway, but a trail solver only materializes one to give it away.
-  /// Approximate under concurrency (try_donate re-checks); exact when a
-  /// single block runs, which keeps single-block donation patterns and
-  /// stats bit-identical across the two branch-state modes.
+  /// like try_donate() does. Hybrid consults this BEFORE paying for the
+  /// donation snapshot, in both branch-state modes. Approximate under
+  /// concurrency (try_donate re-checks); exact when a single block runs.
   bool poll_donate_gate() {
     if (queue_.size_approx() >= threshold_) {
       rejected_threshold_.fetch_add(1, std::memory_order_relaxed);

@@ -30,7 +30,8 @@
 // private stack runs dry. The shared stack is multi-producer /
 // single-consumer (only the owner claims), which makes the claim ABA-free.
 //
-// Like LocalStack, storage is allocated once at construction: the owner can
+// Like the copy-mode local stack (vc/descent.hpp), storage is bounded at
+// construction: the owner can
 // hold at most one node per tree level, so `capacity` = the depth bound of
 // §IV-E, and steals only ever shrink the deque. Overflow is a hard error.
 // The pool carries `steal_headroom` extra slots beyond `capacity` for
@@ -102,7 +103,8 @@ class StealDeque {
     return steals_.load(std::memory_order_relaxed);
   }
 
-  /// Bytes of pool storage held (for the memory budget, like LocalStack):
+  /// Bytes of pool storage held (for the memory budget, like the local
+/// stack):
   /// (capacity + steal_headroom) slots of one degree entry per vertex.
   std::int64_t footprint_bytes() const;
 

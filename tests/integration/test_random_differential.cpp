@@ -150,9 +150,74 @@ TEST(RandomDifferential, EveryMethodBitIdenticalOnSerializedDevice) {
           ASSERT_EQ(copy.tree_nodes, trail.tree_nodes)
               << parallel::method_name(method)
               << ": tree shape diverged between kCopy and kUndoTrail";
+          // Both modes run one donation protocol, so the worklist traffic
+          // and the harvested cover match too, not just the tree size.
+          ASSERT_EQ(copy.worklist.adds, trail.worklist.adds)
+              << parallel::method_name(method);
+          ASSERT_EQ(copy.worklist.removes, trail.worklist.removes)
+              << parallel::method_name(method);
+          ASSERT_EQ(copy.cover, trail.cover) << parallel::method_name(method);
           ASSERT_TRUE(graph::is_vertex_cover(g, trail.cover))
               << parallel::method_name(method);
         }
+      }
+    }
+  }
+}
+
+// Golden pin: the mode-vs-mode diffs above cannot see a change that shifts
+// both modes the same way, so the serialized trees of three fixed graphs
+// are pinned per method × mode. A small worklist makes Hybrid defer most
+// neighbors children locally instead of donating them.
+TEST(RandomDifferential, SerializedTreesMatchPinnedValues) {
+  struct Pinned {
+    parallel::Method method;
+    std::int64_t tree_nodes;
+    int best_size;
+    std::uint64_t worklist_adds;
+  };
+  struct Case {
+    const char* name;
+    CsrGraph graph;
+    std::vector<Pinned> want;
+  };
+  using parallel::Method;
+  const Case cases[] = {
+      {"gnp(48, 0.2, 1)",
+       graph::gnp(48, 0.2, 1),
+       {{Method::kSequential, 241, 33, 0},
+        {Method::kStackOnly, 246, 33, 0},
+        {Method::kHybrid, 233, 33, 12},
+        {Method::kGlobalOnly, 235, 33, 53},
+        {Method::kWorkStealing, 241, 33, 121}}},
+      {"barabasi_albert(90, 5, 1)",
+       graph::barabasi_albert(90, 5, 1),
+       {{Method::kSequential, 65, 52, 0},
+        {Method::kStackOnly, 70, 52, 0},
+        {Method::kHybrid, 65, 52, 7},
+        {Method::kGlobalOnly, 71, 52, 41},
+        {Method::kWorkStealing, 65, 52, 33}}},
+      {"complement(p_hat(44, 0.3, 0.8, 5))",
+       graph::complement(graph::p_hat(44, 0.3, 0.8, 5)),
+       {{Method::kSequential, 119, 36, 0},
+        {Method::kStackOnly, 124, 36, 0},
+        {Method::kHybrid, 119, 36, 7},
+        {Method::kGlobalOnly, 143, 36, 65},
+        {Method::kWorkStealing, 119, 36, 60}}},
+  };
+  for (const Case& c : cases) {
+    for (const Pinned& want : c.want) {
+      for (vc::BranchStateMode mode : vc::all_branch_state_modes()) {
+        SCOPED_TRACE(std::string(c.name) + " " +
+                     parallel::method_name(want.method) + " " +
+                     vc::branch_state_mode_name(mode));
+        parallel::ParallelConfig config = serialized_config(mode);
+        config.worklist_capacity = 8;
+        const parallel::ParallelResult r =
+            parallel::solve(c.graph, want.method, config);
+        EXPECT_EQ(r.tree_nodes, want.tree_nodes);
+        EXPECT_EQ(r.best_size, want.best_size);
+        EXPECT_EQ(r.worklist.adds, want.worklist_adds);
       }
     }
   }
