@@ -4,10 +4,9 @@
 // cheapest way to make the remaining set conflict-free is to discard a
 // minimum vertex cover of that graph.
 //
-// This example shows the preprocessing pipeline a production user would
-// run before the exact search: Nemhauser–Trotter kernelization (the LP
-// forces most reads in or out), connected-component decomposition, and the
-// Hybrid solver on each surviving kernel component.
+// This example shows the preprocessing a production user would run before
+// the exact search: Nemhauser–Trotter kernelization (the LP forces most
+// reads in or out), then the Hybrid solver on the surviving kernel.
 //
 //   ./genome_conflict_resolution [--reads 450] [--conflict-rate 2.1]
 
@@ -18,7 +17,6 @@
 #include "parallel/solver.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
-#include "vc/components.hpp"
 #include "vc/kernelization.hpp"
 
 int main(int argc, char** argv) {
@@ -58,18 +56,11 @@ int main(int argc, char** argv) {
               nt.in_cover.size(), nt.excluded.size(),
               nt.kernel.num_vertices(), nt.lp_lower_bound);
 
-  // Stage 2+3: split the kernel into components, Hybrid-solve each.
-  auto solver = [](const graph::CsrGraph& piece) {
-    parallel::ParallelConfig config;
-    return static_cast<vc::SolveResult>(
-        parallel::solve(piece, parallel::Method::kHybrid, config));
-  };
-  vc::SolveResult kernel_solution;
-  if (nt.kernel.num_edges() == 0) {
-    kernel_solution.best_size = 0;
-  } else {
-    kernel_solution = vc::solve_mvc_by_components(nt.kernel, solver);
-  }
+  // Stage 2: Hybrid-solve the kernel (nothing to search if it has no edges).
+  parallel::ParallelResult kernel_solution;
+  if (nt.kernel.num_edges() > 0)
+    kernel_solution = parallel::solve(nt.kernel, parallel::Method::kHybrid,
+                                      parallel::ParallelConfig{});
 
   auto discard = vc::lift_cover(nt, kernel_solution.cover);
   std::printf("\ndiscard %zu of %d reads to resolve all conflicts "

@@ -5,8 +5,8 @@
 // Scenario: a brand wants to sponsor as many creators as possible from a
 // social network under the constraint that no two sponsored creators follow
 // each other (avoiding overlapping audiences). That is a maximum
-// independent set of the follower graph, computed here through the vertex
-// cover solver via vc::maximum_independent_set.
+// independent set of the follower graph: every creator outside a minimum
+// vertex cover, which the Hybrid solver computes.
 //
 //   ./social_independent_set [--creators 250] [--m 3]
 
@@ -16,7 +16,7 @@
 #include "graph/generators.hpp"
 #include "graph/ops.hpp"
 #include "graph/stats.hpp"
-#include "vc/mis.hpp"
+#include "parallel/solver.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -31,15 +31,21 @@ int main(int argc, char** argv) {
   std::printf("follower graph: %s\n\n",
               graph::compute_stats(g).to_string().c_str());
 
-  vc::MisResult result = vc::maximum_independent_set(g);
-  std::printf("maximum sponsorship cohort: %d of %d creators\n", result.size,
-              creators);
+  parallel::ParallelResult mvc =
+      parallel::solve(g, parallel::Method::kHybrid, parallel::ParallelConfig{});
+  std::vector<bool> in_cover(static_cast<std::size_t>(creators), false);
+  for (auto v : mvc.cover) in_cover[static_cast<std::size_t>(v)] = true;
+  std::vector<graph::Vertex> cohort;
+  for (graph::Vertex v = 0; v < creators; ++v)
+    if (!in_cover[static_cast<std::size_t>(v)]) cohort.push_back(v);
+
+  std::printf("maximum sponsorship cohort: %zu of %d creators\n",
+              cohort.size(), creators);
   std::printf("(equivalently: minimum vertex cover has %d vertices; "
               "%llu search-tree nodes)\n",
-              result.mvc.best_size,
-              static_cast<unsigned long long>(result.mvc.tree_nodes));
+              mvc.best_size, static_cast<unsigned long long>(mvc.tree_nodes));
 
-  if (!graph::is_independent_set(g, result.independent_set)) {
+  if (!graph::is_independent_set(g, cohort)) {
     std::fprintf(stderr, "BUG: cohort contains a follower edge!\n");
     return 1;
   }
@@ -52,12 +58,10 @@ int main(int argc, char** argv) {
   for (graph::Vertex v = 0; v < creators; ++v) by_degree.push_back(v);
   std::sort(by_degree.begin(), by_degree.end(),
             [&](auto a, auto b) { return g.degree(a) > g.degree(b); });
-  std::vector<bool> in_set(static_cast<std::size_t>(creators), false);
-  for (auto v : result.independent_set) in_set[static_cast<std::size_t>(v)] = true;
   for (int i = 0; i < 5 && i < creators; ++i) {
     auto v = by_degree[static_cast<std::size_t>(i)];
     std::printf("  creator %4d: %4d followers -> %s\n", v, g.degree(v),
-                in_set[static_cast<std::size_t>(v)] ? "sponsored" : "skipped");
+                in_cover[static_cast<std::size_t>(v)] ? "skipped" : "sponsored");
   }
   return 0;
 }

@@ -1,13 +1,14 @@
 // General-purpose solver front end: load a graph file (DIMACS / METIS /
 // MatrixMarket / edge list), or generate an instance, and solve MVC or PVC
-// with any of the three implementations.
+// with any of the five methods.
 //
 //   ./solve_cli --graph path/to/file.col [--method hybrid] [--problem mvc]
 //   ./solve_cli --instance p_hat_300_1 --scale smoke --method stackonly
 //   ./solve_cli --graph g.col --problem pvc --k 25
 //
 // Options:
-//   --method     sequential | stackonly | hybrid        (default hybrid)
+//   --method     sequential | stackonly | hybrid | globalonly | workstealing
+//                (default hybrid)
 //   --problem    mvc | pvc                              (default mvc)
 //   --k          PVC parameter (required for pvc)
 //   --complement solve on the edge complement (DIMACS clique instances)
@@ -28,6 +29,15 @@ int main(int argc, char** argv) {
   using namespace gvc;
   util::Args args(argc, argv);
 
+  auto usage = [] {
+    std::fprintf(stderr, "usage: solve_cli --graph FILE | --instance NAME "
+                         "[--method hybrid] [--problem mvc|pvc --k K]\n");
+    return 2;
+  };
+  const std::optional<parallel::Method> method =
+      parallel::try_parse_method(args.get("method", "hybrid"));
+  if (!method.has_value()) return usage();
+
   graph::CsrGraph g;
   if (args.has("graph")) {
     g = graph::load_graph(args.get("graph"));
@@ -36,15 +46,12 @@ int main(int argc, char** argv) {
         harness::parse_scale(args.get("scale", "default")));
     g = harness::find_instance(cat, args.get("instance")).graph();
   } else {
-    std::fprintf(stderr, "usage: solve_cli --graph FILE | --instance NAME "
-                         "[--method hybrid] [--problem mvc|pvc --k K]\n");
-    return 2;
+    return usage();
   }
   if (args.get_bool("complement", false)) g = graph::complement(g);
 
   std::printf("graph: %s\n", graph::compute_stats(g).to_string().c_str());
 
-  parallel::Method method = parallel::parse_method(args.get("method", "hybrid"));
   parallel::ParallelConfig config;
   std::string problem = util::to_lower(args.get("problem", "mvc"));
   if (problem == "pvc") {
@@ -63,10 +70,10 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(args.get_int("max-nodes", 0));
   control.limits.time_limit_s = args.get_double("max-seconds", 0.0);
 
-  auto r = parallel::solve(g, method, config, &control);
+  auto r = parallel::solve(g, *method, config, &control);
 
   if (args.get_bool("verbose", false) &&
-      method != parallel::Method::kSequential) {
+      *method != parallel::Method::kSequential) {
     std::printf("launch plan: %s\n", r.plan.to_string().c_str());
     auto load = r.launch.load_per_sm_normalized();
     std::printf("per-SM load (normalized):");

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "util/check.hpp"
-#include "util/strings.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
 #include "vc/branching.hpp"
@@ -164,127 +163,6 @@ TreeShape analyze_tree_shape(const graph::CsrGraph& g,
   ShapeTraversal traversal(g, options, shape);
   traversal.run();
   return shape;
-}
-
-namespace {
-
-/// Emitter for tree_to_dot: replays the Sequential traversal, writing one
-/// DOT node per visit until the budget runs out, then one collapsed
-/// placeholder per elided sub-tree.
-class DotEmitter {
- public:
-  DotEmitter(const CsrGraph& g, const TreeShapeOptions& options,
-             std::uint64_t max_nodes, std::string& out)
-      : g_(g), opt_(options), max_nodes_(max_nodes), out_(out) {
-    mvc_ = opt_.solver.problem == vc::Problem::kMvc;
-    k_ = opt_.solver.k;
-    GVC_CHECK_MSG(mvc_ || k_ > 0, "PVC requires k > 0");
-    best_ = vc::greedy_mvc(g).size;
-  }
-
-  void run() {
-    out_ += "digraph search_tree {\n";
-    out_ += "  node [shape=box, fontname=\"monospace\", fontsize=9];\n";
-    visit(vc::DegreeArray(g_), 0, -1);
-    out_ += "}\n";
-  }
-
- private:
-  /// Returns the sub-tree size (for collapsed placeholders).
-  std::uint64_t visit(vc::DegreeArray da, int depth, std::int64_t parent) {
-    if (pvc_found_) return 0;
-
-    const vc::BudgetPolicy policy =
-        mvc_ ? vc::BudgetPolicy::mvc(best_) : vc::BudgetPolicy::pvc(k_);
-    vc::reduce(g_, da, policy, opt_.solver.semantics, opt_.solver.rules);
-
-    const std::int64_t s = da.solution_size();
-    const std::int64_t e = da.num_edges();
-    const bool pruned =
-        mvc_ ? (s >= best_ || e > (best_ - s - 1) * (best_ - s - 1))
-             : (s > k_ || e > (k_ - s) * (k_ - s));
-    const bool cover = !pruned && e == 0;
-
-    const bool emit = emitted_ < max_nodes_;
-    std::int64_t id = -1;
-    if (emit) {
-      id = static_cast<std::int64_t>(emitted_++);
-      out_ += util::format(
-          "  n%lld [label=\"d=%d |S|=%lld |E|=%lld\"%s];\n",
-          static_cast<long long>(id), depth, static_cast<long long>(s),
-          static_cast<long long>(e),
-          cover ? ", style=filled, fillcolor=palegreen"
-                : (pruned ? ", style=filled, fillcolor=mistyrose" : ""));
-      if (parent >= 0)
-        out_ += util::format("  n%lld -> n%lld;\n",
-                             static_cast<long long>(parent),
-                             static_cast<long long>(id));
-    }
-
-    std::uint64_t size = 1;
-    if (!pruned) {
-      if (cover) {
-        if (mvc_)
-          best_ = s;
-        else
-          pvc_found_ = true;
-      } else {
-        const Vertex vmax = vc::select_branch_vertex(
-            da, opt_.solver.branch, opt_.solver.branch_seed);
-        GVC_DCHECK(vmax >= 0);
-        vc::DegreeArray neighbors_child = da;
-        neighbors_child.remove_neighbors_into_solution(g_, vmax);
-        da.remove_into_solution(g_, vmax);
-
-        // Each child still gets traversed when the node budget is gone (the
-        // best-bound updates must stay faithful), but its whole sub-tree
-        // collapses into one dashed placeholder under the last emitted
-        // ancestor.
-        auto child = [&](vc::DegreeArray&& node) {
-          const bool full_before = emitted_ >= max_nodes_;
-          const std::uint64_t sz = visit(std::move(node), depth + 1, id);
-          if (id >= 0 && full_before && sz > 0) {
-            out_ += util::format(
-                "  p%llu [label=\"... %llu more nodes\", shape=plaintext];\n"
-                "  n%lld -> p%llu [style=dashed];\n",
-                static_cast<unsigned long long>(placeholders_),
-                static_cast<unsigned long long>(sz),
-                static_cast<long long>(id),
-                static_cast<unsigned long long>(placeholders_));
-            ++placeholders_;
-          }
-          return sz;
-        };
-        size += child(std::move(da));
-        size += child(std::move(neighbors_child));
-      }
-    }
-
-    return size;
-  }
-
-  const CsrGraph& g_;
-  const TreeShapeOptions& opt_;
-  std::uint64_t max_nodes_;
-  std::string& out_;
-
-  bool mvc_ = true;
-  int k_ = 0;
-  std::int64_t best_ = 0;
-  bool pvc_found_ = false;
-  std::uint64_t emitted_ = 0;
-  std::uint64_t placeholders_ = 0;
-};
-
-}  // namespace
-
-std::string tree_to_dot(const graph::CsrGraph& g,
-                        const TreeShapeOptions& options,
-                        std::uint64_t max_nodes) {
-  std::string out;
-  DotEmitter emitter(g, options, max_nodes, out);
-  emitter.run();
-  return out;
 }
 
 }  // namespace gvc::harness

@@ -10,11 +10,13 @@
 // up to `record_max_depth`, the size of each sub-tree rooted there — i.e.
 // the work each thread block would receive if the tree were split at that
 // starting depth. The imbalance summaries (max/mean, coefficient of
-// variation, Gini, top-share) are what bench/tree_shape_report prints.
+// variation, Gini, top-share) are what bench/tree_shape_report prints;
+// bench/ablation_load_balancer and examples/compare_methods read them too.
 //
 // The traversal replays the Sequential solver exactly (same reduction
 // semantics, same branch order, same best updates), so total node counts
-// agree with solve_sequential — property-tested in tests/harness.
+// agree with solve_sequential — property-tested in tests/harness. It is the
+// library's only replay of that traversal.
 
 #include <cstdint>
 #include <vector>
@@ -75,16 +77,5 @@ double gini_coefficient(std::vector<double> xs);
 /// Traverses the search tree of (g, options.solver) and returns its shape.
 TreeShape analyze_tree_shape(const graph::CsrGraph& g,
                              const TreeShapeOptions& options = {});
-
-/// Renders the top of the search tree as Graphviz DOT for inspection and
-/// documentation (the Fig. 2/Fig. 3 pictures for *your* instance). Nodes
-/// are visited in the Sequential order and labeled with depth, |S| and
-/// |E(G')|; leaves are colored by outcome (pruned / cover found). Once
-/// `max_nodes` nodes have been emitted, remaining sub-trees collapse into
-/// one "⋯ N more nodes" placeholder each, so the output stays plottable
-/// even for million-node trees.
-std::string tree_to_dot(const graph::CsrGraph& g,
-                        const TreeShapeOptions& options = {},
-                        std::uint64_t max_nodes = 150);
 
 }  // namespace gvc::harness

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdlib>
 #include <numeric>
 
 #include "graph/generators.hpp"
@@ -166,54 +164,6 @@ TEST(TreeShape, ImbalanceGrowsWithDepthOnHardInstances) {
     EXPECT_GE(d5.gini, 0.0);
     EXPECT_LE(d5.gini, 1.0);
   }
-}
-
-TEST(TreeToDot, EmitsWellFormedDot) {
-  auto g = graph::complement(graph::p_hat(20, 0.3, 0.8, 5));
-  std::string dot = tree_to_dot(g);
-  EXPECT_NE(dot.find("digraph search_tree {"), std::string::npos);
-  EXPECT_EQ(dot.back(), '\n');
-  EXPECT_NE(dot.find("n0 [label=\"d=0"), std::string::npos);
-  // Balanced braces: exactly one { and one }.
-  EXPECT_EQ(std::count(dot.begin(), dot.end(), '{'), 1);
-  EXPECT_EQ(std::count(dot.begin(), dot.end(), '}'), 1);
-}
-
-TEST(TreeToDot, NodeBudgetCollapsesSubtrees) {
-  auto g = graph::complement(graph::p_hat(26, 0.3, 0.8, 9));
-  TreeShape shape = analyze_tree_shape(g);
-  if (shape.total_nodes > 6) {
-    std::string dot = tree_to_dot(g, {}, /*max_nodes=*/5);
-    EXPECT_NE(dot.find("more nodes"), std::string::npos);
-    // Never more emitted nodes than the budget.
-    std::size_t count = 0, pos = 0;
-    while ((pos = dot.find("[label=\"d=", pos)) != std::string::npos) {
-      ++count;
-      ++pos;
-    }
-    EXPECT_LE(count, 5u);
-  }
-}
-
-TEST(TreeToDot, PlaceholderCountsCoverTheWholeTree) {
-  // Emitted nodes + the sum of "... N more nodes" placeholders must equal
-  // the full tree size (the collapsed traversal still updates best bounds
-  // exactly like the full one).
-  auto g = graph::gnp(28, 0.2, 21);
-  TreeShape shape = analyze_tree_shape(g);
-  std::string dot = tree_to_dot(g, {}, /*max_nodes=*/4);
-  std::uint64_t emitted = 0, collapsed = 0;
-  std::size_t pos = 0;
-  while ((pos = dot.find("[label=\"d=", pos)) != std::string::npos) {
-    ++emitted;
-    ++pos;
-  }
-  pos = 0;
-  while ((pos = dot.find("[label=\"... ", pos)) != std::string::npos) {
-    collapsed += std::strtoull(dot.c_str() + pos + 12, nullptr, 10);
-    ++pos;
-  }
-  EXPECT_EQ(emitted + collapsed, shape.total_nodes);
 }
 
 TEST(TreeShapeDeathTest, PvcRequiresK) {

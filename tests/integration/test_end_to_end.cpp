@@ -1,7 +1,7 @@
 // Cross-module integration tests: catalog instances through the full solver
-// pipeline, preprocessing compositions (kernelization, components), IO round
-// trips, and instrumentation consistency — the paths the bench binaries and
-// examples exercise, pinned down as assertions.
+// pipeline, kernelization before a solve, IO round trips, and
+// instrumentation consistency — the paths the bench binaries and examples
+// exercise, pinned down as assertions.
 
 #include <gtest/gtest.h>
 
@@ -13,11 +13,7 @@
 #include "harness/runner.hpp"
 #include "parallel/solver.hpp"
 #include "util/stats.hpp"
-#include "vc/components.hpp"
-#include "vc/greedy.hpp"
 #include "vc/kernelization.hpp"
-#include "vc/local_search.hpp"
-#include "vc/mis.hpp"
 
 namespace gvc {
 namespace {
@@ -74,45 +70,6 @@ TEST(EndToEnd, KernelizeThenHybridMatchesDirectSolve) {
   EXPECT_EQ(static_cast<int>(lifted.size()), direct);
   EXPECT_TRUE(graph::is_vertex_cover(g, lifted));
   EXPECT_GE(direct, nt.lp_lower_bound);
-}
-
-TEST(EndToEnd, ComponentsThenHybridMatchesDirectSolve) {
-  auto cat = harness::paper_catalog(harness::Scale::kSmoke);
-  const auto& inst = harness::find_instance(cat, "US_power_grid");
-  harness::Runner runner(smoke_options());
-  int direct = runner.min_cover(inst);
-
-  auto solver = [](const graph::CsrGraph& piece) {
-    parallel::ParallelConfig config;
-    config.device = device::DeviceSpec::host_scaled();
-    config.grid_override = 2;
-    return static_cast<vc::SolveResult>(
-        parallel::solve(piece, parallel::Method::kHybrid, config));
-  };
-  auto r = vc::solve_mvc_by_components(inst.graph(), solver);
-  EXPECT_EQ(r.best_size, direct);
-}
-
-TEST(EndToEnd, LocalSearchBoundBracketsHybridOptimum) {
-  auto cat = harness::paper_catalog(harness::Scale::kSmoke);
-  harness::Runner runner(smoke_options());
-  for (const char* name : {"p_hat_300_1", "LastFM_Asia"}) {
-    const auto& inst = harness::find_instance(cat, name);
-    int opt = runner.min_cover(inst);
-    auto ls = vc::local_search_cover(inst.graph(), {30, 7});
-    EXPECT_GE(static_cast<int>(ls.size()), opt) << name;
-    EXPECT_LE(static_cast<int>(ls.size()),
-              vc::greedy_mvc(inst.graph()).size) << name;
-  }
-}
-
-TEST(EndToEnd, MisAndMvcAreComplementaryOnCatalogInstance) {
-  auto cat = harness::paper_catalog(harness::Scale::kSmoke);
-  const auto& inst = harness::find_instance(cat, "Sister_Cities");
-  harness::Runner runner(smoke_options());
-  int mvc = runner.min_cover(inst);
-  auto mis = vc::maximum_independent_set(inst.graph());
-  EXPECT_EQ(mis.size + mvc, inst.graph().num_vertices());
 }
 
 TEST(EndToEnd, DimacsRoundTripPreservesSolverAnswer) {

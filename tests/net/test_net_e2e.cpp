@@ -450,28 +450,50 @@ TEST(NetE2E, ShutdownWithoutPermissionRefused) {
   client->close();
 }
 
+// Polling over the wire: with one worker, a filler that cannot finish within
+// the test occupies the shard, so the polled job is still queued when its
+// Poll frame arrives. Cancelling the filler then lets the job run.
 TEST(NetE2E, PollStatusLifecycle) {
-  const auto g =
-      std::make_shared<graph::CsrGraph>(graph::gnp(50, 0.15, 13));
   TestDaemon daemon(1);
   auto client = connect_to(daemon);
   GraphAckMsg ack;
   ErrorMsg err;
-  ASSERT_TRUE(client->upload_graph(1, *g, &ack, &err)) << err.message;
+  ASSERT_TRUE(client->upload_graph(1, graph::gnp(50, 0.15, 13), &ack, &err))
+      << err.message;
+  // An exact MVC of G(200, 0.2) takes far longer than this test may run.
+  ASSERT_TRUE(client->upload_graph(2, graph::gnp(200, 0.2, 1), &ack, &err))
+      << err.message;
+
+  SolveRequestMsg filler;
+  filler.graph_id = 2;
+  filler.config = deterministic_config();
+  const std::uint64_t filler_id = client->submit(filler);
+  AcceptedMsg accepted;
+  ASSERT_TRUE(client->wait_accepted(filler_id, &accepted, &err))
+      << err.message;
 
   SolveRequestMsg req;
   req.graph_id = 1;
   req.config = deterministic_config();
   const std::uint64_t id = client->submit(req);
-  AcceptedMsg accepted;
   ASSERT_TRUE(client->wait_accepted(id, &accepted, &err)) << err.message;
 
   StatusReplyMsg status;
   ASSERT_TRUE(client->poll_status(id, &status));
-  EXPECT_TRUE(status.known);  // queued, running, or already done
+  EXPECT_TRUE(status.known);
+  EXPECT_EQ(status.status,
+            static_cast<std::uint8_t>(service::JobStatus::kQueued));
 
+  bool hit = false;
+  ASSERT_TRUE(client->cancel(filler_id, &hit));
+  EXPECT_TRUE(hit);
   ResultMsg res;
+  ASSERT_TRUE(client->wait_result(filler_id, &res, &err)) << err.message;
+  EXPECT_EQ(res.status,
+            static_cast<std::uint8_t>(service::JobStatus::kCancelled));
+
   ASSERT_TRUE(client->wait_result(id, &res, &err)) << err.message;
+  EXPECT_EQ(res.status, static_cast<std::uint8_t>(service::JobStatus::kDone));
 
   // After the Result frame the server forgets the ticket.
   ASSERT_TRUE(client->poll_status(id, &status));

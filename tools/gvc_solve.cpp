@@ -29,7 +29,8 @@
 //                        unlike --time-limit it also burns load/setup time
 //                        (0 = none)
 //   --kernelize          fold degree ≤ 2 structures first (host-side
-//                        preprocessing; see src/vc/folding.hpp)
+//                        preprocessing; see src/vc/folding.hpp); PVC
+//                        solves the kernel with k minus the folded cover
 //   --solution PATH      write the cover in PACE "s vc" format
 //   --quiet              print only the cover size
 //
@@ -226,8 +227,21 @@ int main(int argc, char** argv) {
                   folded.cover_offset);
   }
 
-  parallel::ParallelResult r =
-      parallel::solve(*work, *method, config, &control);
+  // Folding already put cover_offset vertices in the cover, so a PVC kernel
+  // gets only the rest of k. The solver rejects k <= 0, so a spent budget
+  // or an edgeless kernel is answered here without a search.
+  const bool pvc_kernel = kernelize && config.problem == vc::Problem::kPvc;
+  parallel::ParallelConfig work_config = config;
+  if (pvc_kernel) work_config.k -= folded.cover_offset;
+  parallel::ParallelResult r;
+  if (pvc_kernel && (work_config.k <= 0 || work->num_edges() == 0)) {
+    if (work_config.k >= 0 && work->num_edges() == 0)
+      r.best_size = 0;  // the empty kernel cover
+    else
+      r.outcome = vc::Outcome::kInfeasible;
+  } else {
+    r = parallel::solve(*work, *method, work_config, &control);
+  }
 
   std::vector<graph::Vertex> cover =
       kernelize ? folded.lift(r.cover) : r.cover;
