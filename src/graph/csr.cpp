@@ -12,9 +12,32 @@ CsrGraph::CsrGraph(std::vector<std::int64_t> offsets,
   GVC_CHECK_MSG(!offsets_.empty(), "CSR offsets must have at least one entry");
   GVC_CHECK(offsets_.front() == 0);
   GVC_CHECK(offsets_.back() == static_cast<std::int64_t>(adjacency_.size()));
+
+  const Vertex n = num_vertices();
+  const std::size_t words = (static_cast<std::size_t>(n) + 63) / 64;
+  if (static_cast<std::size_t>(n) * words > static_cast<std::size_t>(num_edges()))
+    return;  // rows would outweigh the adjacency list
+  row_words_ = words;
+  rows_.assign(static_cast<std::size_t>(n) * words, 0);
+  // Offsets are clamped and ids range-checked: the arrays may be unvalidated.
+  const auto arcs = static_cast<std::int64_t>(adjacency_.size());
+  for (Vertex v = 0; v < n; ++v) {
+    const std::int64_t b = std::clamp<std::int64_t>(
+        offsets_[static_cast<std::size_t>(v)], 0, arcs);
+    const std::int64_t e = std::clamp<std::int64_t>(
+        offsets_[static_cast<std::size_t>(v) + 1], b, arcs);
+    std::uint64_t* r = rows_.data() + static_cast<std::size_t>(v) * words;
+    for (std::int64_t i = b; i < e; ++i) {
+      const Vertex u = adjacency_[static_cast<std::size_t>(i)];
+      if (u < 0 || u >= n) continue;
+      r[static_cast<std::size_t>(u) >> 6] |= std::uint64_t{1} << (u & 63);
+    }
+  }
 }
 
 bool CsrGraph::has_edge(Vertex u, Vertex v) const {
+  if (has_rows())
+    return (row(u)[static_cast<std::size_t>(v) >> 6] >> (v & 63)) & 1u;
   auto nbrs = neighbors(u);
   return std::binary_search(nbrs.begin(), nbrs.end(), v);
 }

@@ -4,7 +4,17 @@
 // (§IV-B of the paper). A single immutable CSR instance is shared by every
 // thread block; all intermediate graphs are expressed as degree arrays
 // layered on top of it (see vc/degree_array.hpp).
+//
+// Dense graphs also carry adjacency bitset rows: row v holds ⌈n/64⌉ words
+// with bit u set iff u ∈ adj(v). Rows are built by the constructor only when
+// they are no larger than the adjacency list itself — n·⌈n/64⌉ ≤ |E| words
+// against |E| words of adjacency (2|E| 32-bit arcs) — so a graph never costs
+// more than twice its CSR. With rows, has_edge() is one bit test and a
+// degree array can walk only its live neighbors by ANDing a row with its
+// presence bitset (vc::DegreeArray::for_each_present_neighbor). Sparse
+// graphs stay on the sorted CSR walk.
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -26,9 +36,11 @@ class CsrGraph {
  public:
   CsrGraph() = default;
 
-  /// Takes ownership of raw CSR arrays. Call validate() afterwards if the
-  /// arrays come from an untrusted source; the builder already guarantees
-  /// the invariants.
+  /// Takes ownership of raw CSR arrays and builds the bitset rows when the
+  /// size gate above admits them. Call validate() afterwards if the arrays
+  /// come from an untrusted source; the builder already guarantees the
+  /// invariants. Row building tolerates unvalidated arrays: out-of-range
+  /// neighbor ids are left out of the rows (validate() still reports them).
   CsrGraph(std::vector<std::int64_t> offsets, std::vector<Vertex> adjacency);
 
   /// Number of vertices.
@@ -50,8 +62,19 @@ class CsrGraph {
     return {adjacency_.data() + b, e - b};
   }
 
-  /// O(log deg) adjacency test.
+  /// Adjacency test: one bit test with rows, O(log deg) without.
   bool has_edge(Vertex u, Vertex v) const;
+
+  /// Whether the adjacency bitset rows were built (see the file comment).
+  bool has_rows() const { return !rows_.empty(); }
+
+  /// Words per bitset row, ⌈n/64⌉; 0 when there are no rows.
+  std::size_t row_words() const { return row_words_; }
+
+  /// Bitset row of v (row_words() words). Requires has_rows().
+  const std::uint64_t* row(Vertex v) const {
+    return rows_.data() + static_cast<std::size_t>(v) * row_words_;
+  }
 
   /// Maximum degree Δ(G); 0 for an empty graph.
   Vertex max_degree() const;
@@ -63,8 +86,11 @@ class CsrGraph {
   /// Intended for tests and for graphs loaded from disk.
   void validate() const;
 
-  /// Structural equality (same vertex count and adjacency).
-  bool operator==(const CsrGraph& other) const = default;
+  /// Structural equality (same vertex count and adjacency). The rows are
+  /// derived from the adjacency, so they are not compared.
+  bool operator==(const CsrGraph& other) const {
+    return offsets_ == other.offsets_ && adjacency_ == other.adjacency_;
+  }
 
   const std::vector<std::int64_t>& offsets() const { return offsets_; }
   const std::vector<Vertex>& adjacency() const { return adjacency_; }
@@ -72,6 +98,8 @@ class CsrGraph {
  private:
   std::vector<std::int64_t> offsets_ = {0};
   std::vector<Vertex> adjacency_;
+  std::size_t row_words_ = 0;
+  std::vector<std::uint64_t> rows_;  ///< n rows of row_words_ words, or empty
 };
 
 }  // namespace gvc::graph

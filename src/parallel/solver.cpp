@@ -138,7 +138,7 @@ const char* check_solve(const graph::CsrGraph& g, Method method,
   // [0, min(|V|, |E|)]. A deeper stack only shrinks what plans and how many
   // blocks stay resident, so when both ends of that range plan with equal
   // thread counts, the solver's launch matches them and the greedy pass
-  // (quadratic at worst, on the caller's thread) is skipped.
+  // (O((|V| + |E|) log |V|), on the caller's thread) is skipped.
   if (launch && config.problem == vc::Problem::kMvc) {
     const auto widest = static_cast<int>(
         std::min<std::int64_t>(g.num_vertices(), g.num_edges()));

@@ -8,11 +8,19 @@
 namespace gvc::vc {
 
 DegreeArray::DegreeArray(const CsrGraph& g)
-    : deg_(static_cast<std::size_t>(g.num_vertices())),
+    : n_(g.num_vertices()),
       solution_size_(0),
       num_edges_(g.num_edges()) {
+  const std::size_t words = presence_words(n_);
+  deg_.assign(presence_base() + 2 * words, 0);
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::size_t live = std::min<std::size_t>(
+        64, static_cast<std::size_t>(n_) - 64 * w);
+    set_presence_word(w, live == 64 ? ~std::uint64_t{0}
+                                    : (std::uint64_t{1} << live) - 1);
+  }
   std::int32_t best = -1;
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+  for (Vertex v = 0; v < n_; ++v) {
     const std::int32_t d = g.degree(v);
     deg_[static_cast<std::size_t>(v)] = d;
     if (d > best) {
@@ -25,13 +33,12 @@ DegreeArray::DegreeArray(const CsrGraph& g)
 
 // The 2x2 specialization keeps the hot loop free of per-neighbor branches:
 // the tracking and trail tests are hoisted to one dispatch per call, so the
-// paper-faithful configuration (no tracking, no trail) runs the exact loop
-// it always did.
+// paper-faithful configuration (no tracking, no trail) runs the plain
+// decrement loop.
 template <bool kTrack, bool kTrail>
 void DegreeArray::decrement_neighbors(const CsrGraph& g, Vertex v) {
-  for (Vertex u : g.neighbors(v)) {
+  for_each_present_neighbor(g, v, [&](Vertex u) {
     auto& d = deg_[static_cast<std::size_t>(u)];
-    if (d == kInSolution) continue;
     if constexpr (kTrail) trail_.get()->record(u, d);
     --d;
     if constexpr (kTrack) {
@@ -40,7 +47,7 @@ void DegreeArray::decrement_neighbors(const CsrGraph& g, Vertex v) {
       else
         dirty_.push_back(u);
     }
-  }
+  });
 }
 
 void DegreeArray::remove_into_solution(const CsrGraph& g, Vertex v) {
@@ -49,6 +56,7 @@ void DegreeArray::remove_into_solution(const CsrGraph& g, Vertex v) {
   if (trail) trail->record(v, deg_[static_cast<std::size_t>(v)]);
   num_edges_ -= deg_[static_cast<std::size_t>(v)];
   deg_[static_cast<std::size_t>(v)] = kInSolution;
+  clear_present_bit(v);
   ++solution_size_;
   const bool track = tracking_ && !dirty_overflow_;
   switch ((trail ? 2 : 0) | (track ? 1 : 0)) {
@@ -62,12 +70,10 @@ void DegreeArray::remove_into_solution(const CsrGraph& g, Vertex v) {
 int DegreeArray::remove_neighbors_into_solution(const CsrGraph& g, Vertex v) {
   GVC_DCHECK(present(v));
   int removed = 0;
-  for (Vertex u : g.neighbors(v)) {
-    if (present(u)) {
-      remove_into_solution(g, u);
-      ++removed;
-    }
-  }
+  for_each_present_neighbor(g, v, [&](Vertex u) {
+    remove_into_solution(g, u);
+    ++removed;
+  });
   return removed;
 }
 
@@ -80,17 +86,21 @@ Vertex DegreeArray::max_degree_vertex() const {
     const std::int32_t d = deg_[static_cast<std::size_t>(max_hint_)];
     if (d != kInSolution && d == max_bound_) return max_hint_;
   }
-  // Rescan, early-exiting as soon as the (still valid) upper bound is
-  // reached; then tighten the bound and re-arm the hint.
+  // Rescan the present vertices in ascending id order, early-exiting as
+  // soon as the (still valid) upper bound is reached; then tighten the
+  // bound and re-arm the hint.
   Vertex arg = -1;
   std::int32_t best = -1;
-  const Vertex n = num_vertices();
-  for (Vertex v = 0; v < n; ++v) {
-    const std::int32_t d = deg_[static_cast<std::size_t>(v)];
-    if (d != kInSolution && d > best) {
-      best = d;
-      arg = v;
-      if (best == max_bound_) break;
+  const std::size_t words = presence_words(n_);
+  for (std::size_t w = 0; w < words && best != max_bound_; ++w) {
+    for (std::uint64_t bits = presence_word(w); bits != 0; bits &= bits - 1) {
+      const std::size_t v = 64 * w + static_cast<std::size_t>(std::countr_zero(bits));
+      const std::int32_t d = deg_[v];
+      if (d > best) {
+        best = d;
+        arg = static_cast<Vertex>(v);
+        if (best == max_bound_) break;
+      }
     }
   }
   max_bound_ = best < 0 ? 0 : best;
@@ -124,6 +134,20 @@ void DegreeArray::check_consistency(const CsrGraph& g) const {
   std::int64_t edges = 0;
   std::int32_t removed = 0;
   std::int32_t true_max = 0;
+  GVC_CHECK_MSG(deg_.size() == presence_base() + 2 * presence_words(n_),
+                "degree storage size out of sync");
+  if (presence_base() != static_cast<std::size_t>(n_))
+    GVC_CHECK_MSG(deg_[static_cast<std::size_t>(n_)] == 0,
+                  "degree storage pad slot not zero");
+  for (std::size_t w = 0; w < presence_words(n_); ++w) {
+    for (std::size_t i = 0; i < 64; ++i) {
+      const std::size_t v = 64 * w + i;
+      const bool bit = (presence_word(w) >> i) & 1u;
+      const bool want = v < static_cast<std::size_t>(n_) &&
+                        present(static_cast<Vertex>(v));
+      GVC_CHECK_MSG(bit == want, "presence bitset out of sync");
+    }
+  }
   for (Vertex v = 0; v < num_vertices(); ++v) {
     if (!present(v)) {
       ++removed;

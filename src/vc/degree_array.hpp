@@ -16,7 +16,21 @@
 //     traversal from a degree array alone, which is what makes donating
 //     branches to the global worklist possible.
 //
-// Two accelerations layered on top of the plain array:
+// Three accelerations layered on top of the plain array:
+//
+//   * Presence bitset. Alongside the degrees the array keeps ⌈n/64⌉ words
+//     with bit v set iff v is present. remove_into_solution() clears a bit
+//     and an undo-trail rollback sets it again; it is value state, so every
+//     copy (stack slots, worklist donations, steals) carries it. When the
+//     CSR graph has adjacency bitset rows (graph/csr.hpp), a live neighbor
+//     walk ANDs v's row with these words and visits only present neighbors:
+//     O(⌈n/64⌉ + live neighbors) instead of O(original degree). Without rows
+//     the walk stays the sorted CSR scan. Both visit neighbors in ascending
+//     id order, so every mutation sequence — and hence every search tree —
+//     is the same either way. The max-degree rescan below also walks the
+//     presence bits rather than all n entries. The words share the degree
+//     vector's allocation (they sit after the degrees), so a copy still
+//     costs one heap allocation.
 //
 //   * Max-degree cache. Degrees only ever decrease (every mutation removes
 //     vertices), so the maximum degree is monotone non-increasing over a
@@ -38,8 +52,12 @@
 //     when off; the paper-faithful solvers never enable it.
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -72,7 +90,7 @@ class DegreeArray {
   // lets every special member stay defaulted — a future field cannot be
   // forgotten in a hand-written copy.
 
-  Vertex num_vertices() const { return static_cast<Vertex>(deg_.size()); }
+  Vertex num_vertices() const { return n_; }
 
   bool present(Vertex v) const {
     return deg_[static_cast<std::size_t>(v)] != kInSolution;
@@ -91,6 +109,45 @@ class DegreeArray {
   /// its present neighbors. Requires present(v).
   void remove_into_solution(const CsrGraph& g, Vertex v);
 
+  /// Calls f(u) for every present neighbor u of v in ascending id order.
+  /// If f returns bool, the walk stops at the first false. f may remove the
+  /// neighbor it is handed (or decrement degrees), but must not remove any
+  /// other vertex. With adjacency rows this costs O(⌈n/64⌉ + present
+  /// neighbors); otherwise it scans v's CSR list.
+  template <typename F>
+  void for_each_present_neighbor(const CsrGraph& g, Vertex v, F&& f) const {
+    auto visit = [&f](Vertex u) {
+      if constexpr (std::is_same_v<std::invoke_result_t<F&, Vertex>, bool>) {
+        return f(u);
+      } else {
+        f(u);
+        return true;
+      }
+    };
+    if (g.has_rows()) {
+      const std::uint64_t* row = g.row(v);
+      for (std::size_t w = 0; w < g.row_words(); ++w) {
+        for (std::uint64_t bits = row[w] & presence_word(w); bits != 0;
+             bits &= bits - 1) {
+          if (!visit(static_cast<Vertex>(64 * w + static_cast<std::size_t>(
+                                                      std::countr_zero(bits)))))
+            return;
+        }
+      }
+      return;
+    }
+    for (Vertex u : g.neighbors(v))
+      if (present(u) && !visit(u)) return;
+  }
+
+  /// Word w of the presence bitset: bit i is set iff vertex 64·w + i is
+  /// present. Bits at or past num_vertices() are zero.
+  std::uint64_t presence_word(std::size_t w) const {
+    std::uint64_t bits;
+    std::memcpy(&bits, deg_.data() + presence_base() + 2 * w, sizeof bits);
+    return bits;
+  }
+
   /// Removes every present neighbor of v into S (the "neighbors branch").
   /// Returns the number of vertices removed. Requires present(v); v itself
   /// stays in the graph and ends with degree 0.
@@ -99,8 +156,8 @@ class DegreeArray {
   /// Present vertex of maximum degree, smallest id on ties (deterministic,
   /// matching a parallel max-reduction with index tie-breaking). Returns -1
   /// if no vertex is present. O(1) while the cached hint vertex still holds
-  /// the cached maximum; one early-exiting scan (which re-arms the cache)
-  /// otherwise.
+  /// the cached maximum; otherwise one early-exiting scan over the presence
+  /// bits (which re-arms the cache).
   Vertex max_degree_vertex() const;
 
   /// Maximum current degree (0 if the graph is edgeless or empty). Exact;
@@ -193,19 +250,24 @@ class DegreeArray {
   /// Present vertices (ascending).
   std::vector<Vertex> present_vertices() const;
 
-  /// Recomputes degrees / |S| / |E| from scratch against g and aborts on any
-  /// divergence from the maintained values, including a maximum-degree
-  /// cache bound below the true maximum. Test and debugging aid.
+  /// Recomputes degrees / |S| / |E| / presence bits from scratch against g
+  /// and aborts on any divergence from the maintained values, including a
+  /// maximum-degree cache bound below the true maximum. Test and debugging
+  /// aid.
   void check_consistency(const CsrGraph& g) const;
 
-  /// Logical-state equality: degrees and counters. The maximum-degree cache
-  /// and the dirty log are accelerations, not state, and are ignored.
+  /// Logical-state equality: degrees (with the presence bits they imply)
+  /// and counters. The maximum-degree cache and the dirty log are
+  /// accelerations, not state, and are ignored.
   bool operator==(const DegreeArray& other) const {
     return deg_ == other.deg_ && solution_size_ == other.solution_size_ &&
            num_edges_ == other.num_edges_;
   }
 
-  const std::vector<std::int32_t>& raw() const { return deg_; }
+  /// The degree entries, one per vertex (kInSolution for removed ones).
+  std::span<const std::int32_t> raw() const {
+    return {deg_.data(), static_cast<std::size_t>(n_)};
+  }
 
  private:
   /// The trail reads and restores every private field on rollback.
@@ -233,6 +295,30 @@ class DegreeArray {
   template <bool kTrack, bool kTrail>
   void decrement_neighbors(const CsrGraph& g, Vertex v);
 
+  // Presence words live in deg_ after the degrees, starting at an even
+  // index so each 64-bit word spans two aligned int32 slots; they are read
+  // and written through memcpy.
+  std::size_t presence_base() const {
+    return (static_cast<std::size_t>(n_) + 1) & ~std::size_t{1};
+  }
+  static std::size_t presence_words(Vertex n) {
+    return (static_cast<std::size_t>(n) + 63) / 64;
+  }
+  void set_presence_word(std::size_t w, std::uint64_t bits) {
+    std::memcpy(deg_.data() + presence_base() + 2 * w, &bits, sizeof bits);
+  }
+  void set_present_bit(Vertex v) {
+    const std::size_t w = static_cast<std::size_t>(v) >> 6;
+    set_presence_word(w, presence_word(w) | std::uint64_t{1} << (v & 63));
+  }
+  void clear_present_bit(Vertex v) {
+    const std::size_t w = static_cast<std::size_t>(v) >> 6;
+    set_presence_word(w, presence_word(w) & ~(std::uint64_t{1} << (v & 63)));
+  }
+
+  Vertex n_ = 0;
+  /// n_ degrees, a zero pad slot when n_ is odd, then the presence words
+  /// (two int32 slots each).
   std::vector<std::int32_t> deg_;
   std::int32_t solution_size_ = 0;
   std::int64_t num_edges_ = 0;

@@ -19,7 +19,9 @@ struct GreedyResult {
 
 /// The paper's greedy MVC approximation: apply all reduction rules (with the
 /// high-degree rule inert, since no upper bound exists yet), remove a
-/// maximum-degree vertex into the solution, repeat until the graph is edgeless.
+/// maximum-degree vertex (smallest id on ties) into the solution, repeat
+/// until the graph is edgeless. O((|V| + |E|) log |V|): picks come from a
+/// lazy max-heap, not a rescan per pick.
 GreedyResult greedy_mvc(const CsrGraph& g);
 
 /// Greedy maximal matching (in vertex order).

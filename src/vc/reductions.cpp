@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <span>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -16,13 +17,22 @@ namespace {
 Vertex unique_present_neighbor(const CsrGraph& g, const DegreeArray& da,
                                const std::vector<std::int32_t>* snap,
                                Vertex v) {
-  for (Vertex u : g.neighbors(v)) {
-    bool present = snap ? (*snap)[static_cast<std::size_t>(u)] != DegreeArray::kInSolution
-                        : da.present(u);
-    if (present) return u;
+  Vertex found = -1;
+  if (snap == nullptr) {
+    da.for_each_present_neighbor(g, v, [&](Vertex u) {
+      found = u;
+      return false;
+    });
+  } else {
+    for (Vertex u : g.neighbors(v)) {
+      if ((*snap)[static_cast<std::size_t>(u)] != DegreeArray::kInSolution) {
+        found = u;
+        break;
+      }
+    }
   }
-  GVC_CHECK_MSG(false, "degree-one vertex with no present neighbor");
-  return -1;
+  GVC_CHECK_MSG(found >= 0, "degree-one vertex with no present neighbor");
+  return found;
 }
 
 /// The two present neighbors of a degree-two vertex v (snapshot semantics as
@@ -31,14 +41,18 @@ bool two_present_neighbors(const CsrGraph& g, const DegreeArray& da,
                            const std::vector<std::int32_t>* snap, Vertex v,
                            Vertex& a, Vertex& b) {
   int found = 0;
-  for (Vertex u : g.neighbors(v)) {
-    bool present = snap ? (*snap)[static_cast<std::size_t>(u)] != DegreeArray::kInSolution
-                        : da.present(u);
-    if (!present) continue;
+  auto take = [&](Vertex u) {
     if (found == 0) a = u;
     else if (found == 1) b = u;
-    else return false;
-    ++found;
+    return ++found <= 2;  // a third neighbor settles it
+  };
+  if (snap == nullptr) {
+    da.for_each_present_neighbor(g, v, take);
+  } else {
+    for (Vertex u : g.neighbors(v))
+      if ((*snap)[static_cast<std::size_t>(u)] != DegreeArray::kInSolution &&
+          !take(u))
+        break;
   }
   return found == 2;
 }
@@ -204,7 +218,7 @@ std::vector<std::uint16_t>& narrow_snapshot(ReduceWorkspace& ws,
 
 template <typename SnapT>
 void take_narrow_snapshot(const DegreeArray& da, std::vector<SnapT>& snap) {
-  const std::vector<std::int32_t>& raw = da.raw();
+  const std::span<const std::int32_t> raw = da.raw();
   snap.resize(raw.size());
   for (std::size_t i = 0; i < raw.size(); ++i) {
     const std::int32_t d = raw[i];
@@ -409,7 +423,7 @@ std::int64_t run_incremental_rule(DegreeArray& da, ReduceWorkspace& ws,
                                   std::int32_t trigger_degree,
                                   TryApply&& try_apply) {
   const std::vector<Vertex>& log = da.dirty();  // stable object; may regrow
-  const std::vector<std::int32_t>& deg = da.raw();
+  const std::span<const std::int32_t> deg = da.raw();
   auto& heap = ws.heap;
   auto& next = ws.next;
   auto& pending = ws.pending;
@@ -606,7 +620,7 @@ std::int64_t run_rule_pass(DegreeArray& da, ReduceWorkspace& ws,
                            std::int32_t trigger_degree, std::uint8_t pend_bit,
                            TryApply&& try_apply) {
   const std::vector<Vertex>& log = da.dirty();  // stable object; may regrow
-  const std::vector<std::int32_t>& deg = da.raw();
+  const std::span<const std::int32_t> deg = da.raw();
   auto& heap = ws.heap;
   auto& next = ws.next;
   auto& pending = ws.pending;
@@ -711,7 +725,7 @@ ReduceStats reduce_incremental_pass(const CsrGraph& g, DegreeArray& da,
   if ((!D1 || seeded1) && (!D2 || seeded2)) {
     bool cand1 = false, cand2 = false;
     if constexpr (D1 || D2) {
-      const std::vector<std::int32_t>& deg = da.raw();
+      const std::span<const std::int32_t> deg = da.raw();
       for (Vertex v : da.dirty()) {
         const std::int32_t d = deg[static_cast<std::size_t>(v)];
         cand1 |= d == 1;
@@ -737,7 +751,7 @@ ReduceStats reduce_incremental_pass(const CsrGraph& g, DegreeArray& da,
   bool list1 = false, list2 = false;
   if constexpr (D1 && D2) {
     if (!seeded1 && !seeded2) {
-      const std::vector<std::int32_t>& deg = da.raw();
+      const std::span<const std::int32_t> deg = da.raw();
       ws.seed1.clear();
       ws.seed2.clear();
       const Vertex n = da.num_vertices();

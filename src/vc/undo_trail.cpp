@@ -36,9 +36,13 @@ void UndoTrail::rollback(Mark mark, DegreeArray& da) {
 
   // Reverse replay: a vertex mutated several times ends at its value as of
   // the watermark (its oldest entry above the cut wins by running last).
+  // Every entry's old degree is a present one, so a vertex the subtree
+  // removed into S gets its presence bit back.
   for (std::size_t i = entries_.size(); i > wm.trail_size; --i) {
     const Entry& e = entries_[i - 1];
-    da.deg_[static_cast<std::size_t>(e.v)] = e.old_degree;
+    auto& d = da.deg_[static_cast<std::size_t>(e.v)];
+    if (d == DegreeArray::kInSolution) da.set_present_bit(e.v);
+    d = e.old_degree;
   }
   entries_.resize(wm.trail_size);
 

@@ -166,9 +166,11 @@ TEST(RandomDifferential, EveryMethodBitIdenticalOnSerializedDevice) {
 }
 
 // Golden pin: the mode-vs-mode diffs above cannot see a change that shifts
-// both modes the same way, so the serialized trees of three fixed graphs
+// both modes the same way, so the serialized trees of four fixed graphs
 // are pinned per method × mode. A small worklist makes Hybrid defer most
-// neighbors children locally instead of donating them.
+// neighbors children locally instead of donating them. The first three
+// graphs are dense enough to carry adjacency bitset rows (graph/csr.hpp);
+// the power grid is not, so both neighbor-walk paths are pinned.
 TEST(RandomDifferential, SerializedTreesMatchPinnedValues) {
   struct Pinned {
     parallel::Method method;
@@ -204,7 +206,16 @@ TEST(RandomDifferential, SerializedTreesMatchPinnedValues) {
         {Method::kHybrid, 119, 36, 7},
         {Method::kGlobalOnly, 143, 36, 65},
         {Method::kWorkStealing, 119, 36, 60}}},
+      {"power_grid(130, 0.8, 2)",
+       graph::power_grid(130, 0.8, 2),
+       {{Method::kSequential, 203, 69, 0},
+        {Method::kStackOnly, 208, 69, 0},
+        {Method::kHybrid, 203, 69, 17},
+        {Method::kGlobalOnly, 203, 69, 55},
+        {Method::kWorkStealing, 203, 69, 102}}},
   };
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(cases[i].graph.has_rows());
+  ASSERT_FALSE(cases[3].graph.has_rows());
   for (const Case& c : cases) {
     for (const Pinned& want : c.want) {
       for (vc::BranchStateMode mode : vc::all_branch_state_modes()) {

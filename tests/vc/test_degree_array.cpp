@@ -4,7 +4,9 @@
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/ops.hpp"
 #include "util/rng.hpp"
+#include "vc/undo_trail.hpp"
 
 namespace gvc::vc {
 namespace {
@@ -218,6 +220,135 @@ TEST(DegreeArrayTracking, EqualityIgnoresLogAndCaches) {
   b.remove_into_solution(g, 3);
   b.max_degree_vertex();  // tighten b's cache
   EXPECT_EQ(a, b);  // same logical state despite dirty log / cache deltas
+}
+
+// --- presence bitset and the live-neighbor walk -----------------------------
+
+/// v's CSR list filtered by present(): what every live walk used to do.
+std::vector<Vertex> filtered_csr(const CsrGraph& g, const DegreeArray& da,
+                                 Vertex v) {
+  std::vector<Vertex> out;
+  for (Vertex u : g.neighbors(v))
+    if (da.present(u)) out.push_back(u);
+  return out;
+}
+
+std::vector<Vertex> walked(const CsrGraph& g, const DegreeArray& da,
+                           Vertex v) {
+  std::vector<Vertex> out;
+  da.for_each_present_neighbor(g, v, [&](Vertex u) { out.push_back(u); });
+  return out;
+}
+
+/// Every presence word equals the bitset rebuilt from present().
+void expect_presence_bits(const DegreeArray& da) {
+  const auto n = static_cast<std::size_t>(da.num_vertices());
+  for (std::size_t w = 0; w * 64 < n; ++w) {
+    std::uint64_t want = 0;
+    for (std::size_t i = 0; i < 64 && 64 * w + i < n; ++i)
+      if (da.present(static_cast<Vertex>(64 * w + i))) want |= std::uint64_t{1} << i;
+    ASSERT_EQ(da.presence_word(w), want) << "word " << w;
+  }
+}
+
+/// Removes a random present vertex of positive degree, or (half the time)
+/// all its neighbors. Requires num_edges() > 0.
+void random_branch_step(const CsrGraph& g, DegreeArray& da, util::Pcg32& rng) {
+  Vertex v;
+  do {
+    v = static_cast<Vertex>(rng.below(static_cast<std::uint32_t>(da.num_vertices())));
+  } while (!da.present(v) || da.degree(v) == 0);
+  if (rng.chance(0.5))
+    da.remove_into_solution(g, v);
+  else
+    da.remove_neighbors_into_solution(g, v);
+}
+
+/// Graphs on both sides of the CSR row gate; the bool is has_rows().
+std::vector<std::pair<CsrGraph, bool>> gate_graphs(std::uint64_t seed) {
+  std::vector<std::pair<CsrGraph, bool>> out;
+  out.emplace_back(graph::gnp(70, 0.3, seed), true);
+  out.emplace_back(graph::complement(graph::p_hat(130, 0.3, 0.8, seed)), true);
+  out.emplace_back(graph::barabasi_albert(100, 8, seed), true);
+  out.emplace_back(graph::power_grid(150, 0.5, seed), false);
+  out.emplace_back(graph::watts_strogatz(200, 3, 0.2, seed), false);
+  out.emplace_back(graph::gnp(200, 0.02, seed), false);
+  return out;
+}
+
+TEST(DegreeArrayPresence, RootBitsCoverExactlyTheVertices) {
+  for (Vertex n : {0, 1, 63, 64, 65, 130}) {
+    CsrGraph g = graph::empty_graph(n);
+    DegreeArray da(g);
+    expect_presence_bits(da);
+    da.check_consistency(g);
+  }
+}
+
+TEST(DegreeArrayPresence, WalkEqualsFilteredCsrOnBothSidesOfTheRowGate) {
+  util::Pcg32 rng(31);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    for (const auto& [g, rows] : gate_graphs(seed)) {
+      ASSERT_EQ(g.has_rows(), rows) << g.num_vertices();
+      DegreeArray da(g);
+      for (;;) {
+        for (Vertex v = 0; v < g.num_vertices(); ++v)
+          ASSERT_EQ(walked(g, da, v), filtered_csr(g, da, v)) << "v=" << v;
+        expect_presence_bits(da);
+        da.check_consistency(g);
+        if (da.num_edges() == 0) break;
+        random_branch_step(g, da, rng);
+      }
+    }
+  }
+}
+
+TEST(DegreeArrayPresence, WalkStopsAtTheFirstFalse) {
+  for (const CsrGraph& g : {graph::complete(70), graph::star(100)}) {
+    DegreeArray da(g);
+    da.remove_into_solution(g, 1);
+    std::vector<Vertex> seen;
+    da.for_each_present_neighbor(g, 0, [&](Vertex u) {
+      seen.push_back(u);
+      return seen.size() < 3;
+    });
+    EXPECT_EQ(seen, (std::vector<Vertex>{2, 3, 4})) << g.has_rows();
+  }
+}
+
+TEST(DegreeArrayPresence, BitsFollowRemoveRollbackAndCopy) {
+  util::Pcg32 rng(47);
+  for (const auto& [g, rows] : gate_graphs(9)) {
+    SCOPED_TRACE(rows ? "rows" : "csr");
+    const DegreeArray root(g);
+    DegreeArray da(g);
+    UndoTrail trail;
+    da.attach_trail(&trail);
+    const UndoTrail::Mark outer = trail.watermark(da);
+    for (int i = 0; i < 3 && da.num_edges() > 0; ++i) random_branch_step(g, da, rng);
+    const DegreeArray mid = da;  // copy construction
+    const UndoTrail::Mark inner = trail.watermark(da);
+    while (da.num_edges() > 0) random_branch_step(g, da, rng);
+    expect_presence_bits(da);
+    da.check_consistency(g);
+
+    DegreeArray assigned(g);
+    assigned = da;  // copy assignment carries the bits too
+    EXPECT_EQ(assigned, da);
+    expect_presence_bits(assigned);
+    assigned.check_consistency(g);
+
+    trail.rollback(inner, da);
+    EXPECT_EQ(da, mid);
+    expect_presence_bits(da);
+    da.check_consistency(g);
+    trail.rollback(outer, da);
+    EXPECT_EQ(da, root);
+    expect_presence_bits(da);
+    da.check_consistency(g);
+    for (Vertex v = 0; v < g.num_vertices(); ++v)
+      ASSERT_EQ(walked(g, da, v), filtered_csr(g, da, v));
+  }
 }
 
 TEST(DegreeArrayDeathTest, ConsistencyCheckCatchesTampering) {

@@ -119,7 +119,7 @@ std::vector<std::vector<std::int32_t>> visit_sequence(const CsrGraph& g,
   std::vector<std::vector<std::int32_t>> seq;
   int branches = 0;
   for (;;) {
-    seq.push_back(da.raw());
+    seq.emplace_back(da.raw().begin(), da.raw().end());
     if (da.num_edges() > 0) {
       descent.branch(da, da.max_degree_vertex(), ++branches % 3 != 0);
       continue;

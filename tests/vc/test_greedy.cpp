@@ -38,6 +38,39 @@ TEST(GreedyMvc, CompleteGraph) {
   EXPECT_EQ(greedy_mvc(graph::complete(8)).size, 7);
 }
 
+/// The textbook greedy: reduce with kSerial, remove max_degree_vertex()
+/// (largest degree, smallest id), repeat. greedy_mvc() must make exactly
+/// these picks.
+GreedyResult textbook_greedy(const CsrGraph& g) {
+  DegreeArray da(g);
+  const BudgetPolicy policy = BudgetPolicy::none();
+  reduce(g, da, policy, ReduceSemantics::kSerial);
+  while (da.num_edges() > 0) {
+    da.remove_into_solution(g, da.max_degree_vertex());
+    reduce(g, da, policy, ReduceSemantics::kSerial);
+  }
+  return GreedyResult{da.solution_size(), da.solution()};
+}
+
+TEST(GreedyMvc, SameCoverAsTheTextbookLoop) {
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    const CsrGraph graphs[] = {
+        graph::gnp(80, 0.1, seed),
+        graph::gnp(300, 0.02, seed),
+        graph::barabasi_albert(250, 4, seed),
+        graph::complement(graph::p_hat(90, 0.3, 0.8, seed)),
+        graph::watts_strogatz(200, 3, 0.3, seed),
+        graph::power_grid(400, 0.4, seed),
+    };
+    for (const CsrGraph& g : graphs) {
+      const GreedyResult want = textbook_greedy(g);
+      const GreedyResult got = greedy_mvc(g);
+      ASSERT_EQ(got.size, want.size) << "seed " << seed << " |V|=" << g.num_vertices();
+      ASSERT_EQ(got.cover, want.cover) << "seed " << seed << " |V|=" << g.num_vertices();
+    }
+  }
+}
+
 TEST(MaximalMatching, IsAMatchingAndMaximal) {
   CsrGraph g = graph::gnp(40, 0.15, 4);
   auto m = maximal_matching(g);

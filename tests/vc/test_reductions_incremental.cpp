@@ -5,6 +5,8 @@
 // branch-and-bound lineages where a child's reduction seeds from the dirty
 // log its branch mutation left behind instead of a fresh |V| scan.
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "graph/builder.hpp"
@@ -33,7 +35,7 @@ std::vector<CsrGraph> family_instances(std::uint64_t seed) {
 
 void expect_same_state(const DegreeArray& serial, const DegreeArray& inc,
                        const char* where) {
-  ASSERT_EQ(serial.raw(), inc.raw()) << where;
+  ASSERT_TRUE(std::ranges::equal(serial.raw(), inc.raw())) << where;
   EXPECT_EQ(serial.solution_size(), inc.solution_size()) << where;
   EXPECT_EQ(serial.num_edges(), inc.num_edges()) << where;
   EXPECT_EQ(serial.solution(), inc.solution()) << where;
