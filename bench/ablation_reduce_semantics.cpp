@@ -30,19 +30,11 @@ int main(int argc, char** argv) {
   struct Variant {
     const char* name;
     vc::ReduceSemantics semantics;
-    vc::KernelDispatch dispatch;
   };
   const Variant kVariants[] = {
-      {"serial", vc::ReduceSemantics::kSerial, vc::KernelDispatch::kGeneric},
-      {"sweep", vc::ReduceSemantics::kParallelSweep,
-       vc::KernelDispatch::kGeneric},
-      {"incremental", vc::ReduceSemantics::kIncremental,
-       vc::KernelDispatch::kGeneric},
-      // The full fast path: candidate-driven rules THROUGH the
-      // shape-specialized kernels picked at adoption time. Same tree as
-      // serial by contract — the node column cross-checks it.
-      {"inc+dispatch", vc::ReduceSemantics::kIncremental,
-       vc::KernelDispatch::kAuto},
+      {"serial", vc::ReduceSemantics::kSerial},
+      {"sweep", vc::ReduceSemantics::kParallelSweep},
+      {"incremental", vc::ReduceSemantics::kIncremental},
   };
   const char* kInstances[] = {"p_hat_300_3", "p_hat_500_1", "US_power_grid",
                               "LastFM_Asia", "Sister_Cities"};
@@ -62,7 +54,6 @@ int main(int argc, char** argv) {
     for (const auto& variant : kVariants) {
       vc::SequentialConfig config;
       config.semantics = variant.semantics;
-      config.kernel_dispatch = variant.dispatch;
       vc::SolveControl budget(env.runner_options.limits);
       auto r = vc::solve_sequential(inst.graph(), config, &budget);
       if (variant.semantics == vc::ReduceSemantics::kSerial) {

@@ -8,7 +8,6 @@
 #include "graph/ops.hpp"
 #include "vc/degree_array.hpp"
 #include "vc/greedy.hpp"
-#include "vc/kernel_dispatch.hpp"
 #include "vc/reductions.hpp"
 
 namespace {
@@ -90,61 +89,6 @@ void BM_Reduce_ChildAfterBranch(benchmark::State& state) {
 }
 BENCHMARK(BM_Reduce_ChildAfterBranch)
     ->ArgsProduct({{0, 1, 2}, {800, 3200}, {0, 1, 2}});
-
-// ---- kernel dispatch: per-specialization sweep ---------------------------
-//
-// One shape class per row, generic vs dispatched kernels on the SAME child
-// state: the classifier picks the u8/u16 degree-width variant and the
-// live-rule mask, so the delta is pure kernel specialization. Classes: sparse-u8 (grid-like, degrees tiny), dense-u8
-// (complemented p_hat at 200, degrees < 256), dense-u16 (same family at 800,
-// degrees past the u8 boundary).
-graph::CsrGraph shape_class_graph(std::int64_t cls) {
-  switch (cls) {
-    case 0: return graph::power_grid(2000, 0.4, 5);                   // sparse-u8
-    case 1: return graph::complement(graph::p_hat(200, 0.3, 0.7, 5)); // dense-u8
-    default:
-      return graph::complement(graph::p_hat(800, 0.3, 0.7, 5));      // dense-u16
-  }
-}
-
-const char* shape_class_label(std::int64_t cls) {
-  switch (cls) {
-    case 0: return "sparse-u8";
-    case 1: return "dense-u8";
-    default: return "dense-u16";
-  }
-}
-
-void BM_Reduce_Dispatch(benchmark::State& state) {
-  auto g = shape_class_graph(state.range(0));
-  const auto dispatch = state.range(1) == 0 ? vc::KernelDispatch::kGeneric
-                                            : vc::KernelDispatch::kAuto;
-  const int bound = vc::greedy_mvc(g).size;
-  vc::ReduceWorkspace ws;
-  // Child-after-branch shape (the per-node hot path): parent at incremental
-  // fixpoint, vmax branch applied, the child re-reduced every iteration.
-  vc::DegreeArray parent(g);
-  vc::reduce(g, parent, vc::BudgetPolicy::mvc(bound),
-             vc::ReduceSemantics::kIncremental, {}, nullptr, &ws, dispatch);
-  graph::Vertex vmax = parent.max_degree_vertex();
-  if (vmax < 0 || parent.degree(vmax) < 1) {
-    state.SkipWithError("instance fully reduced before branching");
-    return;
-  }
-  vc::DegreeArray child_template = parent;
-  child_template.remove_into_solution(g, vmax);
-  vc::DegreeArray child;
-  for (auto _ : state) {
-    child = child_template;
-    auto stats = vc::reduce(g, child, vc::BudgetPolicy::mvc(bound),
-                            vc::ReduceSemantics::kIncremental, {}, nullptr,
-                            &ws, dispatch);
-    benchmark::DoNotOptimize(stats);
-  }
-  state.SetLabel(std::string(shape_class_label(state.range(0))) +
-                 (state.range(1) == 0 ? "/generic" : "/dispatched"));
-}
-BENCHMARK(BM_Reduce_Dispatch)->ArgsProduct({{0, 1, 2}, {0, 1}});
 
 void BM_Rule_DegreeOne(benchmark::State& state) {
   auto g = graph::power_grid(static_cast<graph::Vertex>(state.range(0)), 0.3, 7);

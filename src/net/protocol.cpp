@@ -220,7 +220,6 @@ void encode_solve_request(std::vector<std::uint8_t>& out,
   w.u8(static_cast<std::uint8_t>(c.branch));
   w.u64(c.branch_seed);
   w.u8(static_cast<std::uint8_t>(c.branch_state));
-  w.u8(static_cast<std::uint8_t>(c.kernel_dispatch));
   w.i32(c.block_size_override);
   w.i32(c.grid_override);
   w.i32(c.start_depth);
@@ -276,10 +275,6 @@ bool decode_solve_request(const std::vector<std::uint8_t>& payload,
   if (branch_state > static_cast<std::uint8_t>(vc::BranchStateMode::kUndoTrail))
     return false;
   c.branch_state = static_cast<vc::BranchStateMode>(branch_state);
-  const std::uint8_t dispatch = r.u8();
-  if (dispatch > static_cast<std::uint8_t>(vc::KernelDispatch::kAuto))
-    return false;
-  c.kernel_dispatch = static_cast<vc::KernelDispatch>(dispatch);
   c.block_size_override = r.i32();
   c.grid_override = r.i32();
   c.start_depth = r.i32();

@@ -96,13 +96,6 @@ struct ParallelConfig {
   /// contract — so like Limits it stays OUT of the result-cache key.
   vc::BranchStateMode branch_state = vc::BranchStateMode::kUndoTrail;
 
-  /// Shape-specialized reduce kernels (see vc/reductions.hpp): each block
-  /// classifies the node it adopts and reduces through kernels compiled for
-  /// exactly that shape. Execution policy — bit-identical trees to kGeneric
-  /// by contract — so like branch_state it stays OUT of the result-cache
-  /// key.
-  vc::KernelDispatch kernel_dispatch = vc::KernelDispatch::kAuto;
-
   /// Force a block size in the occupancy plan (0 = let §IV-E choose).
   int block_size_override = 0;
 
@@ -129,8 +122,7 @@ struct ParallelConfig {
 /// single-block solver understands, mapped one to one. This is the single
 /// place that mapping lives — dispatch_solve's kSequential arm and the
 /// batch solver (one Sequential engine per block) both use it, so a field
-/// added to both configs cannot be silently dropped in one path. (Before
-/// this helper existed, the solver.cpp copy dropped kernel_dispatch.)
+/// added to both configs cannot be silently dropped in one path.
 inline vc::SequentialConfig sequential_config_of(const ParallelConfig& config) {
   vc::SequentialConfig sc;
   sc.problem = config.problem;
@@ -140,7 +132,6 @@ inline vc::SequentialConfig sequential_config_of(const ParallelConfig& config) {
   sc.branch = config.branch;
   sc.branch_seed = config.branch_seed;
   sc.branch_state = config.branch_state;
-  sc.kernel_dispatch = config.kernel_dispatch;
   return sc;
 }
 

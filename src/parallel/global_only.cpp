@@ -97,7 +97,7 @@ ParallelResult solve_global_only(const CsrGraph& g,
           }
           ctx.activities().add(Activity::kWorklistRemove, elapsed);
         }
-        vc::adopt_node(da, ws);  // fresh standalone node (spill or global)
+        vc::adopt_node(da);  // fresh standalone node (spill or global)
       }
       have_node = false;
 

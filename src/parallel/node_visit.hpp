@@ -40,7 +40,7 @@ inline NodeOutcome process_node(const graph::CsrGraph& g,
   const vc::BudgetPolicy policy = mvc ? vc::BudgetPolicy::mvc(shared.best())
                                       : vc::BudgetPolicy::pvc(config.k);
   vc::reduce(g, da, policy, config.semantics, config.rules, &ctx.activities(),
-             &workspace, config.kernel_dispatch);
+             &workspace);
 
   const std::int64_t s = da.solution_size();
   const std::int64_t e = da.num_edges();

@@ -217,7 +217,7 @@ ParallelResult solve_work_stealing(const CsrGraph& g,
           obs::trace_instant(obs::TraceCat::kWork, "steal", "attempts",
                              static_cast<std::int64_t>(attempts));
         }
-        vc::adopt_node(da, ws);  // fresh standalone node (pop or steal)
+        vc::adopt_node(da);  // fresh standalone node (pop or steal)
       }
 
       Vertex vmax = -1;

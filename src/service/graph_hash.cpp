@@ -78,10 +78,7 @@ std::uint64_t solve_config_hash(parallel::Method method,
   // budgets should share one entry. config.branch_state is skipped for the
   // same reason: kCopy and kUndoTrail are bit-identical by contract (the
   // differential suite enforces it), so the mode is execution policy, not
-  // part of the answer's identity. config.kernel_dispatch is skipped under
-  // the same contract: every specialized reduce kernel produces
-  // bit-identical trees (the dispatch differential suite enforces it), so
-  // the knob does not change the answer.
+  // part of the answer's identity.
   fold.add(static_cast<std::uint64_t>(config.block_size_override));
   fold.add(static_cast<std::uint64_t>(config.grid_override));
   fold.add(static_cast<std::uint64_t>(config.start_depth));

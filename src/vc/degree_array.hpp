@@ -243,6 +243,9 @@ class DegreeArray {
   /// with copies like the rest of the tracking state.
   std::uint8_t reduce_fixpoint_mask() const { return fixpoint_mask_; }
   void set_reduce_fixpoint_mask(std::uint8_t mask) { fixpoint_mask_ = mask; }
+  /// The mask's bits, one per candidate-driven rule.
+  static constexpr std::uint8_t kRuleBitDegreeOne = 1;
+  static constexpr std::uint8_t kRuleBitDegreeTwo = 2;
 
   /// The solution set S (ascending vertex order).
   std::vector<Vertex> solution() const;

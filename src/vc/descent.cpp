@@ -98,7 +98,7 @@ void Descent::adopt(DegreeArray& da) {
     clear_trail();
     da.attach_trail(&ws_.undo_trail);
   }
-  adopt_node(da, ws_);
+  adopt_node(da);
 }
 
 void Descent::branch(DegreeArray& da, graph::Vertex vmax, bool neighbors_kept,
@@ -127,7 +127,7 @@ bool Descent::next(DegreeArray& da) {
     return retreat_to_next_branch(ws_.undo_trail, ws_.frames, g_, da, acc_);
   const bool popped =
       timed(acc_, Activity::kStackPop, [&] { return stack_.try_pop(da); });
-  if (popped) adopt_node(da, ws_);  // a fresh standalone node
+  if (popped) adopt_node(da);  // a fresh standalone node
   return popped;
 }
 

@@ -196,200 +196,33 @@ std::int64_t high_degree_sweep(const CsrGraph& g, DegreeArray& da,
 
 using util::timed;
 
-// --- shape-specialized sweep kernels (KernelDispatch::kAuto) ----------------
-//
-// The u8/u16 sweep kernels mirror the generic int32 functions above line for
-// line; the only change is the snapshot encoding. A removed vertex is
-// encoded as 0 instead of kInSolution, which collides with "present at
-// degree 0" — but everywhere the sweeps test presence it is for a NEIGHBOR
-// of a vertex that was present in the same snapshot, and a present vertex
-// with a present neighbor has snapshot degree >= 1. So `snap[u] != 0` is an
-// exact presence test in every context below, and the high-degree skip
-// `d == 0 || d <= budget` matches the generic `d == kInSolution ||
-// d <= budget` because the loop only runs with budget >= 0.
-
-std::vector<std::uint8_t>& narrow_snapshot(ReduceWorkspace& ws, std::uint8_t) {
-  return ws.snapshot8;
-}
-std::vector<std::uint16_t>& narrow_snapshot(ReduceWorkspace& ws,
-                                            std::uint16_t) {
-  return ws.snapshot16;
-}
-
-template <typename SnapT>
-void take_narrow_snapshot(const DegreeArray& da, std::vector<SnapT>& snap) {
-  const std::span<const std::int32_t> raw = da.raw();
-  snap.resize(raw.size());
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    const std::int32_t d = raw[i];
-    snap[i] = d == DegreeArray::kInSolution ? SnapT{0} : static_cast<SnapT>(d);
-  }
-}
-
-template <typename SnapT>
-Vertex unique_present_neighbor_narrow(const CsrGraph& g,
-                                      const std::vector<SnapT>& snap,
-                                      Vertex v) {
-  for (Vertex u : g.neighbors(v))
-    if (snap[static_cast<std::size_t>(u)] != 0) return u;
-  GVC_CHECK_MSG(false, "degree-one vertex with no present neighbor");
-  return -1;
-}
-
-template <typename SnapT>
-bool two_present_neighbors_narrow(const CsrGraph& g,
-                                  const std::vector<SnapT>& snap, Vertex v,
-                                  Vertex& a, Vertex& b) {
-  int found = 0;
-  for (Vertex u : g.neighbors(v)) {
-    if (snap[static_cast<std::size_t>(u)] == 0) continue;
-    if (found == 0) a = u;
-    else if (found == 1) b = u;
-    else return false;
-    ++found;
-  }
-  return found == 2;
-}
-
-template <typename SnapT>
-bool sweep_triangle_qualifies_narrow(const CsrGraph& g,
-                                     const std::vector<SnapT>& snap,
-                                     Vertex x) {
-  if (snap[static_cast<std::size_t>(x)] != 2) return false;
-  Vertex a = -1, b = -1;
-  if (!two_present_neighbors_narrow(g, snap, x, a, b)) return false;
-  return g.has_edge(a, b);
-}
-
-template <typename SnapT>
-std::int64_t degree_one_sweep_narrow(const CsrGraph& g, DegreeArray& da,
-                                     std::vector<SnapT>& snap) {
-  std::int64_t removed = 0;
-  for (;;) {
-    take_narrow_snapshot(da, snap);
-    std::int64_t this_sweep = 0;
-    for (Vertex v = 0; v < da.num_vertices(); ++v) {
-      if (snap[static_cast<std::size_t>(v)] != 1) continue;
-      Vertex u = unique_present_neighbor_narrow(g, snap, v);
-      if (snap[static_cast<std::size_t>(u)] == 1 && u > v) continue;
-      if (da.present(u)) {
-        da.remove_into_solution(g, u);
-        ++this_sweep;
-      }
-    }
-    removed += this_sweep;
-    if (this_sweep == 0) break;
-  }
-  return removed;
-}
-
-template <typename SnapT>
-std::int64_t degree_two_sweep_narrow(const CsrGraph& g, DegreeArray& da,
-                                     std::vector<SnapT>& snap) {
-  std::int64_t removed = 0;
-  for (;;) {
-    take_narrow_snapshot(da, snap);
-    std::int64_t this_sweep = 0;
-    for (Vertex v = 0; v < da.num_vertices(); ++v) {
-      if (!sweep_triangle_qualifies_narrow(g, snap, v)) continue;
-      Vertex a = -1, b = -1;
-      GVC_CHECK(two_present_neighbors_narrow(g, snap, v, a, b));
-      if ((sweep_triangle_qualifies_narrow(g, snap, a) && a < v) ||
-          (sweep_triangle_qualifies_narrow(g, snap, b) && b < v))
-        continue;
-      if (da.present(a)) { da.remove_into_solution(g, a); ++this_sweep; }
-      if (da.present(b)) { da.remove_into_solution(g, b); ++this_sweep; }
-    }
-    removed += this_sweep;
-    if (this_sweep == 0) break;
-  }
-  return removed;
-}
-
-template <typename SnapT>
-std::int64_t high_degree_sweep_narrow(const CsrGraph& g, DegreeArray& da,
-                                      const BudgetPolicy& policy,
-                                      std::vector<SnapT>& snap) {
-  std::int64_t removed = 0;
-  for (;;) {
-    std::int64_t budget = policy.budget(da.solution_size());
-    if (budget == std::numeric_limits<std::int64_t>::max()) break;
-    if (budget < 0) break;
-    take_narrow_snapshot(da, snap);
-    std::int64_t this_sweep = 0;
-    for (Vertex v = 0; v < da.num_vertices(); ++v) {
-      const std::int64_t d = snap[static_cast<std::size_t>(v)];
-      if (d == 0 || d <= budget) continue;
-      da.remove_into_solution(g, v);
-      ++this_sweep;
-    }
-    removed += this_sweep;
-    if (this_sweep == 0) break;
-  }
-  return removed;
-}
-
-/// One sweep-semantics fixpoint round loop, specialized on snapshot width
-/// and the enabled-rule mask — the inner loops carry no dead rule branches
-/// and no per-entry width conversions beyond the snapshot take itself.
-template <typename SnapT, bool D1, bool D2, bool HD>
-ReduceStats reduce_sweep_pass(const CsrGraph& g, DegreeArray& da,
-                              const BudgetPolicy& policy,
-                              util::ActivityAccumulator* acc,
-                              ReduceWorkspace& ws) {
-  std::vector<SnapT>& snap = narrow_snapshot(ws, SnapT{});
-  ReduceStats stats;
-  std::int64_t round_removed;
-  do {
-    round_removed = 0;
-    if constexpr (D1) {
-      std::int64_t n = timed(acc, util::Activity::kDegreeOneRule, [&] {
-        return degree_one_sweep_narrow<SnapT>(g, da, snap);
-      });
-      stats.degree_one_removed += n;
-      round_removed += n;
-    }
-    if constexpr (D2) {
-      std::int64_t n = timed(acc, util::Activity::kDegreeTwoTriangleRule, [&] {
-        return degree_two_sweep_narrow<SnapT>(g, da, snap);
-      });
-      stats.degree_two_removed += n;
-      round_removed += n;
-    }
-    if constexpr (HD) {
-      std::int64_t n = timed(acc, util::Activity::kHighDegreeRule, [&] {
-        return high_degree_sweep_narrow<SnapT>(g, da, policy, snap);
-      });
-      stats.high_degree_removed += n;
-      round_removed += n;
-    }
-    ++stats.rounds;
-  } while (round_removed > 0);
-  return stats;
-}
-
-/// Dispatch-table row for one snapshot width. Mask bits here index the
-/// RuleSet (1 = degree-one, 2 = degree-two-triangle, 4 = high-degree) — not
-/// to be confused with the kRuleBit* fixpoint bits, which name only the two
-/// candidate-driven rules.
-template <typename SnapT>
-ReduceStats sweep_pass_for_mask(std::uint8_t m, const CsrGraph& g,
-                                DegreeArray& da, const BudgetPolicy& policy,
-                                util::ActivityAccumulator* acc,
-                                ReduceWorkspace& ws) {
-  switch (m & 7u) {
-    case 0: return reduce_sweep_pass<SnapT, false, false, false>(g, da, policy, acc, ws);
-    case 1: return reduce_sweep_pass<SnapT, true, false, false>(g, da, policy, acc, ws);
-    case 2: return reduce_sweep_pass<SnapT, false, true, false>(g, da, policy, acc, ws);
-    case 3: return reduce_sweep_pass<SnapT, true, true, false>(g, da, policy, acc, ws);
-    case 4: return reduce_sweep_pass<SnapT, false, false, true>(g, da, policy, acc, ws);
-    case 5: return reduce_sweep_pass<SnapT, true, false, true>(g, da, policy, acc, ws);
-    case 6: return reduce_sweep_pass<SnapT, false, true, true>(g, da, policy, acc, ws);
-    default: return reduce_sweep_pass<SnapT, true, true, true>(g, da, policy, acc, ws);
-  }
-}
-
 // --- incremental engine -----------------------------------------------------
+
+/// Degree-one rule at v, checked against the live array: if v has exactly
+/// one present neighbor, move that neighbor into S. Returns the removals.
+std::int64_t degree_one_at(const CsrGraph& g, DegreeArray& da, Vertex v) {
+  if (!da.present(v) || da.degree(v) != 1) return 0;
+  da.remove_into_solution(g, unique_present_neighbor(g, da, nullptr, v));
+  return 1;
+}
+
+/// Degree-two-triangle rule at v: if v's two present neighbors are
+/// adjacent, move both into S. Returns the removals.
+std::int64_t degree_two_at(const CsrGraph& g, DegreeArray& da, Vertex v) {
+  if (!da.present(v) || da.degree(v) != 2) return 0;
+  Vertex a = -1, b = -1;
+  if (!two_present_neighbors(g, da, nullptr, v, a, b)) return 0;
+  if (!g.has_edge(a, b)) return 0;
+  da.remove_into_solution(g, a);
+  da.remove_into_solution(g, b);
+  return 2;
+}
+
+enum class SeedMode {
+  kScan,  ///< one full linear scan for the trigger degree (first reduction)
+  kList,  ///< seed from a fused-scan list, then drain the log from `cursor`
+  kLog,   ///< drain the log from `cursor` only (fixpoint inherited)
+};
 
 /// Runs one rule to its fixpoint over the candidate worklist, reproducing
 /// kSerial's repeated ascending-id scans without touching unchanged
@@ -413,15 +246,28 @@ ReduceStats sweep_pass_for_mask(std::uint8_t m, const CsrGraph& g,
 ///     pops ascend and same-pass insertions are greater than the current
 ///     position), so a vertex already pending in the heap or the next-pass
 ///     list gains nothing from a duplicate entry — qualification is checked
-///     live at pop.
-/// When `seed_scan` is set the worklist is instead seeded with one linear
-/// scan for vertices at the trigger degree (the one full scan the first
-/// reduction of a node lineage pays), and the cursor skips the log.
+///     live at pop. Every stamp is cleared again by the time the run
+///     returns.
+///
+/// Seeding:
+///   * kScan — one linear scan for vertices at the trigger degree (the one
+///     full scan the first reduction of a node lineage pays); the cursor
+///     skips the log.
+///   * kList — the caller collected this rule's trigger list with a fused
+///     scan BEFORE earlier rules of the same reduce call ran, and set
+///     `cursor` to the log size as of that scan. Seeding re-filters the list
+///     against CURRENT degrees and then drains the log from `cursor` into
+///     the current pass (pos = -1): any vertex at the trigger degree now
+///     either already was at the scan (in the list) or changed degree since
+///     (in the drained log suffix), so the heap holds exactly the set a
+///     fresh kScan would collect — and a min-heap pops it in the same
+///     ascending order regardless of insertion order.
+///   * kLog — only the log from `cursor` (the rule's fixpoint is inherited).
 template <typename TryApply>
-std::int64_t run_incremental_rule(DegreeArray& da, ReduceWorkspace& ws,
-                                  std::size_t& cursor, bool seed_scan,
-                                  std::int32_t trigger_degree,
-                                  TryApply&& try_apply) {
+std::int64_t run_rule_pass(DegreeArray& da, ReduceWorkspace& ws,
+                           std::size_t& cursor, SeedMode mode,
+                           const std::vector<Vertex>* seed_list,
+                           std::int32_t trigger_degree, TryApply&& try_apply) {
   const std::vector<Vertex>& log = da.dirty();  // stable object; may regrow
   const std::span<const std::int32_t> deg = da.raw();
   auto& heap = ws.heap;
@@ -448,17 +294,30 @@ std::int64_t run_incremental_rule(DegreeArray& da, ReduceWorkspace& ws,
       next.push_back(w);
   };
 
-  if (seed_scan) {
-    cursor = log.size();
-    const Vertex n = da.num_vertices();
-    for (Vertex v = 0; v < n; ++v) {
-      if (deg[static_cast<std::size_t>(v)] == trigger_degree) {
-        pending[static_cast<std::size_t>(v)] = 1;
-        heap.push_back(v);  // ascending ids: already a valid min-heap
+  switch (mode) {
+    case SeedMode::kScan: {
+      cursor = log.size();
+      const Vertex n = da.num_vertices();
+      for (Vertex v = 0; v < n; ++v) {
+        if (deg[static_cast<std::size_t>(v)] == trigger_degree) {
+          pending[static_cast<std::size_t>(v)] = 1;
+          heap.push_back(v);  // ascending ids: already a valid min-heap
+        }
       }
+      break;
     }
-  } else {
-    for (; cursor < log.size(); ++cursor) enqueue(log[cursor], -1);
+    case SeedMode::kList:
+      for (Vertex v : *seed_list) {
+        if (deg[static_cast<std::size_t>(v)] != trigger_degree) continue;
+        auto& mark = pending[static_cast<std::size_t>(v)];
+        if (mark) continue;
+        mark = 1;
+        heap.push_back(v);  // seed lists ascend: still a valid min-heap
+      }
+      [[fallthrough]];
+    case SeedMode::kLog:
+      for (; cursor < log.size(); ++cursor) enqueue(log[cursor], -1);
+      break;
   }
 
   std::int64_t removed = 0;
@@ -480,33 +339,6 @@ std::int64_t run_incremental_rule(DegreeArray& da, ReduceWorkspace& ws,
   return removed;
 }
 
-std::int64_t degree_one_incremental(const CsrGraph& g, DegreeArray& da,
-                                    ReduceWorkspace& ws, std::size_t& cursor,
-                                    bool seed_scan) {
-  return run_incremental_rule(
-      da, ws, cursor, seed_scan, 1, [&](Vertex v) -> std::int64_t {
-        if (!da.present(v) || da.degree(v) != 1) return 0;
-        Vertex u = unique_present_neighbor(g, da, nullptr, v);
-        da.remove_into_solution(g, u);
-        return 1;
-      });
-}
-
-std::int64_t degree_two_incremental(const CsrGraph& g, DegreeArray& da,
-                                    ReduceWorkspace& ws, std::size_t& cursor,
-                                    bool seed_scan) {
-  return run_incremental_rule(
-      da, ws, cursor, seed_scan, 2, [&](Vertex v) -> std::int64_t {
-        if (!da.present(v) || da.degree(v) != 2) return 0;
-        Vertex a = -1, b = -1;
-        if (!two_present_neighbors(g, da, nullptr, v, a, b)) return 0;
-        if (!g.has_edge(a, b)) return 0;
-        da.remove_into_solution(g, a);
-        da.remove_into_solution(g, b);
-        return 2;
-      });
-}
-
 /// The high-degree rule is budget-driven, not degree-change-driven (every
 /// removal anywhere tightens the budget), so instead of candidates it uses
 /// the degree array's cached maximum-degree bound as an O(1) "cannot fire"
@@ -523,49 +355,117 @@ std::int64_t high_degree_incremental(const CsrGraph& g, DegreeArray& da,
   return high_degree_serial(g, da, policy);
 }
 
+/// The kIncremental fixpoint: the round loop of kSerial with each
+/// candidate-driven rule run by run_rule_pass. A rule may trust the dirty
+/// log only if its own fixpoint was part of the lineage's previous
+/// reduction (its fixpoint-mask bit is set) AND the log has captured every
+/// change since (no overflow). Otherwise — first reduction of the lineage,
+/// the rule was disabled last time, or a branch dirtied more than the log
+/// carries — it pays one linear seed scan, which is a superset of any log
+/// seeding and therefore just as exact. Three savings ride on top:
+///
+///   * Whole-call dead fast path — when every enabled candidate rule is at
+///     its lineage fixpoint with no log candidate at its trigger and the
+///     O(1) budget gate proves high-degree cannot fire, the first round
+///     would remove nothing and exit; reproduce its exit bookkeeping
+///     without seeding a single worklist.
+///   * Fused seeding — when both candidate rules need a seed scan, one
+///     linear scan collects both trigger lists (SeedMode::kList).
+///   * Per round, a rule at its fixpoint whose cursor has nothing left to
+///     drain is skipped as a provable no-op (its heap would seed empty).
 ReduceStats reduce_incremental(const CsrGraph& g, DegreeArray& da,
                                const BudgetPolicy& policy, const RuleSet& rules,
                                util::ActivityAccumulator* acc,
                                ReduceWorkspace& ws) {
-  constexpr std::uint8_t kDegreeOneBit = kRuleBitDegreeOne;
-  constexpr std::uint8_t kDegreeTwoBit = kRuleBitDegreeTwo;
-
+  const bool d1 = rules.degree_one;
+  const bool d2 = rules.degree_two_triangle;
+  const std::uint8_t fixpoint_mask = static_cast<std::uint8_t>(
+      (d1 ? DegreeArray::kRuleBitDegreeOne : 0) |
+      (d2 ? DegreeArray::kRuleBitDegreeTwo : 0));
   ReduceStats stats;
-  // A rule may trust the dirty log only if its own fixpoint was part of the
-  // lineage's previous reduction (its fixpoint-mask bit is set) AND the log
-  // has captured every change since (no overflow). Otherwise — first
-  // reduction of the lineage, the rule was disabled last time, or a branch
-  // dirtied more than the log carries — it pays one linear seed scan, which
-  // is a superset of any log seeding and therefore just as exact.
   if (!da.tracking()) da.enable_tracking();
   if (da.dirty_overflowed()) {
     da.clear_dirty();
     da.set_reduce_fixpoint_mask(0);
   }
   const std::uint8_t mask = da.reduce_fixpoint_mask();
+  bool seeded1 = (mask & DegreeArray::kRuleBitDegreeOne) != 0;
+  bool seeded2 = (mask & DegreeArray::kRuleBitDegreeTwo) != 0;
+
+  if ((!d1 || seeded1) && (!d2 || seeded2)) {
+    bool cand1 = false, cand2 = false;
+    if (d1 || d2) {
+      const std::span<const std::int32_t> deg = da.raw();
+      for (Vertex v : da.dirty()) {
+        const std::int32_t d = deg[static_cast<std::size_t>(v)];
+        cand1 |= d == 1;
+        cand2 |= d == 2;
+      }
+    }
+    bool hd_dead = true;
+    if (rules.high_degree) {
+      const std::int64_t budget = policy.budget(da.solution_size());
+      hd_dead = budget == std::numeric_limits<std::int64_t>::max() ||
+                budget < 0 || da.max_degree_bound() <= budget;
+    }
+    if ((!d1 || !cand1) && (!d2 || !cand2) && hd_dead) {
+      stats.rounds = 1;
+      da.clear_dirty();
+      da.set_reduce_fixpoint_mask(fixpoint_mask);
+      return stats;
+    }
+  }
+
   // The engine consumes the log promptly; only inter-reduction mutations
   // (branch decisions) are subject to the cap.
   da.suspend_dirty_cap();
-  std::size_t cursor_deg1 = 0;
-  std::size_t cursor_deg2 = 0;
-  bool seeded_deg1 = (mask & kDegreeOneBit) != 0;
-  bool seeded_deg2 = (mask & kDegreeTwoBit) != 0;
+  std::size_t cursor1 = 0, cursor2 = 0;
+  bool list1 = false, list2 = false;
+  if (d1 && d2 && !seeded1 && !seeded2) {
+    const std::span<const std::int32_t> deg = da.raw();
+    ws.seed1.clear();
+    ws.seed2.clear();
+    const Vertex n = da.num_vertices();
+    for (Vertex v = 0; v < n; ++v) {
+      const std::int32_t d = deg[static_cast<std::size_t>(v)];
+      if (d == 1) ws.seed1.push_back(v);
+      else if (d == 2) ws.seed2.push_back(v);
+    }
+    cursor1 = cursor2 = da.dirty().size();
+    list1 = list2 = true;
+  }
+
+  const std::vector<Vertex>& log = da.dirty();
+  auto run_rule = [&](bool& seeded, bool& listed, std::size_t& cursor,
+                      const std::vector<Vertex>& seeds,
+                      std::int32_t trigger_degree, util::Activity activity,
+                      auto&& try_apply) -> std::int64_t {
+    const SeedMode mode = listed   ? SeedMode::kList
+                          : seeded ? SeedMode::kLog
+                                   : SeedMode::kScan;
+    seeded = true;
+    listed = false;
+    if (mode == SeedMode::kLog && cursor == log.size()) return 0;
+    return timed(acc, activity, [&] {
+      return run_rule_pass(da, ws, cursor, mode, &seeds, trigger_degree,
+                           try_apply);
+    });
+  };
   std::int64_t round_removed;
   do {
     round_removed = 0;
-    if (rules.degree_one) {
-      std::int64_t n = timed(acc, util::Activity::kDegreeOneRule, [&] {
-        return degree_one_incremental(g, da, ws, cursor_deg1, !seeded_deg1);
-      });
-      seeded_deg1 = true;
+    if (d1) {
+      std::int64_t n = run_rule(
+          seeded1, list1, cursor1, ws.seed1, 1, util::Activity::kDegreeOneRule,
+          [&](Vertex v) { return degree_one_at(g, da, v); });
       stats.degree_one_removed += n;
       round_removed += n;
     }
-    if (rules.degree_two_triangle) {
-      std::int64_t n = timed(acc, util::Activity::kDegreeTwoTriangleRule, [&] {
-        return degree_two_incremental(g, da, ws, cursor_deg2, !seeded_deg2);
-      });
-      seeded_deg2 = true;
+    if (d2) {
+      std::int64_t n = run_rule(
+          seeded2, list2, cursor2, ws.seed2, 2,
+          util::Activity::kDegreeTwoTriangleRule,
+          [&](Vertex v) { return degree_two_at(g, da, v); });
       stats.degree_two_removed += n;
       round_removed += n;
     }
@@ -578,275 +478,15 @@ ReduceStats reduce_incremental(const CsrGraph& g, DegreeArray& da,
     }
     ++stats.rounds;
   } while (round_removed > 0);
+
   // Fixpoint reached: nothing the enabled rules recognize qualifies
   // anywhere. Reset the log so the caller's branch mutations accumulate the
   // children's candidate seeds (bounded again by the cap), and record which
   // rules this fixpoint covers — a rule enabled later must re-seed.
   da.clear_dirty();
   da.restore_dirty_cap();
-  da.set_reduce_fixpoint_mask(
-      static_cast<std::uint8_t>((rules.degree_one ? kDegreeOneBit : 0) |
-                                (rules.degree_two_triangle ? kDegreeTwoBit : 0)));
+  da.set_reduce_fixpoint_mask(fixpoint_mask);
   return stats;
-}
-
-// --- shape-specialized incremental pass (KernelDispatch::kAuto) -------------
-
-enum class SeedMode {
-  kScan,  ///< one full linear scan for the trigger degree (first reduction)
-  kList,  ///< seed from a fused-scan list, then drain the log from `cursor`
-  kLog,   ///< drain the log from `cursor` only (fixpoint inherited)
-};
-
-/// run_incremental_rule with two extensions, equivalence preserved:
-///
-///   * Per-rule pending bits instead of the 0/1 stamp — stamps are set at
-///     run time only and every one is cleared again by loop exit, so the
-///     schemes interoperate on a shared buffer; the bits merely keep rules
-///     from ever aliasing each other's marks.
-///   * SeedMode::kList — the caller collected this rule's trigger list with
-///     a fused scan BEFORE earlier rules of the same reduce call ran, and
-///     set `cursor` to the log size as of that scan. Seeding re-filters the
-///     list against CURRENT degrees and then drains the log from `cursor`
-///     into the current pass (pos = -1): any vertex at the trigger degree
-///     now either already was at the scan (in the list) or changed degree
-///     since (in the drained log suffix), so the heap holds exactly the set
-///     a fresh kScan would collect — and a min-heap pops it in the same
-///     ascending order regardless of insertion order.
-template <typename TryApply>
-std::int64_t run_rule_pass(DegreeArray& da, ReduceWorkspace& ws,
-                           std::size_t& cursor, SeedMode mode,
-                           const std::vector<Vertex>* seed_list,
-                           std::int32_t trigger_degree, std::uint8_t pend_bit,
-                           TryApply&& try_apply) {
-  const std::vector<Vertex>& log = da.dirty();  // stable object; may regrow
-  const std::span<const std::int32_t> deg = da.raw();
-  auto& heap = ws.heap;
-  auto& next = ws.next;
-  auto& pending = ws.pending;
-  heap.clear();
-  next.clear();
-  if (pending.size() < deg.size()) pending.assign(deg.size(), 0);
-  const auto by_min = std::greater<Vertex>();
-  auto push = [&](Vertex v) {
-    heap.push_back(v);
-    std::push_heap(heap.begin(), heap.end(), by_min);
-  };
-  auto enqueue = [&](Vertex w, Vertex pos) {
-    if (deg[static_cast<std::size_t>(w)] != trigger_degree) return;
-    auto& mark = pending[static_cast<std::size_t>(w)];
-    if (mark & pend_bit) return;
-    mark |= pend_bit;
-    if (w > pos)
-      push(w);  // the serial scan of this pass would still reach w
-    else
-      next.push_back(w);
-  };
-
-  switch (mode) {
-    case SeedMode::kScan: {
-      cursor = log.size();
-      const Vertex n = da.num_vertices();
-      for (Vertex v = 0; v < n; ++v) {
-        if (deg[static_cast<std::size_t>(v)] == trigger_degree) {
-          pending[static_cast<std::size_t>(v)] |= pend_bit;
-          heap.push_back(v);  // ascending ids: already a valid min-heap
-        }
-      }
-      break;
-    }
-    case SeedMode::kList:
-      for (Vertex v : *seed_list) {
-        if (deg[static_cast<std::size_t>(v)] != trigger_degree) continue;
-        auto& mark = pending[static_cast<std::size_t>(v)];
-        if (mark & pend_bit) continue;
-        mark |= pend_bit;
-        heap.push_back(v);  // seed lists ascend: still a valid min-heap
-      }
-      [[fallthrough]];
-    case SeedMode::kLog:
-      for (; cursor < log.size(); ++cursor) enqueue(log[cursor], -1);
-      break;
-  }
-
-  std::int64_t removed = 0;
-  for (;;) {
-    if (heap.empty()) {
-      if (next.empty()) break;
-      for (Vertex v : next) push(v);  // start the next pass
-      next.clear();
-    }
-    std::pop_heap(heap.begin(), heap.end(), by_min);
-    const Vertex v = heap.back();
-    heap.pop_back();
-    pending[static_cast<std::size_t>(v)] &= static_cast<std::uint8_t>(~pend_bit);
-    const std::int64_t n = try_apply(v);
-    if (n == 0) continue;
-    removed += n;
-    for (; cursor < log.size(); ++cursor) enqueue(log[cursor], v);
-  }
-  return removed;
-}
-
-/// reduce_incremental specialized on the enabled-rule mask, with two
-/// shape-level savings on top:
-///
-///   * Whole-call dead fast path — when every enabled candidate rule is at
-///     its lineage fixpoint with no log candidate at its trigger and the
-///     O(1) budget gate proves high-degree cannot fire, the generic
-///     engine's first round would remove nothing and exit; reproduce its
-///     exit bookkeeping without seeding a single worklist. This is the
-///     classifier's live-rule skip evaluated against the CURRENT log (the
-///     adoption-time tag would be stale here — earlier branch mutations may
-///     have re-dirtied a trigger).
-///   * Fused seeding — the first reduction of a lineage collects both
-///     trigger lists in one linear scan (SeedMode::kList above).
-///
-/// Per-round, a rule at its fixpoint whose cursor has nothing left to drain
-/// is skipped as a provable no-op (its heap would seed empty).
-template <bool D1, bool D2, bool HD>
-ReduceStats reduce_incremental_pass(const CsrGraph& g, DegreeArray& da,
-                                    const BudgetPolicy& policy,
-                                    util::ActivityAccumulator* acc,
-                                    ReduceWorkspace& ws) {
-  constexpr std::uint8_t kFixpointMask =
-      static_cast<std::uint8_t>((D1 ? kRuleBitDegreeOne : 0) |
-                                (D2 ? kRuleBitDegreeTwo : 0));
-  ReduceStats stats;
-  if (!da.tracking()) da.enable_tracking();
-  if (da.dirty_overflowed()) {
-    da.clear_dirty();
-    da.set_reduce_fixpoint_mask(0);
-  }
-  const std::uint8_t mask = da.reduce_fixpoint_mask();
-  bool seeded1 = (mask & kRuleBitDegreeOne) != 0;
-  bool seeded2 = (mask & kRuleBitDegreeTwo) != 0;
-
-  if ((!D1 || seeded1) && (!D2 || seeded2)) {
-    bool cand1 = false, cand2 = false;
-    if constexpr (D1 || D2) {
-      const std::span<const std::int32_t> deg = da.raw();
-      for (Vertex v : da.dirty()) {
-        const std::int32_t d = deg[static_cast<std::size_t>(v)];
-        cand1 |= d == 1;
-        cand2 |= d == 2;
-      }
-    }
-    bool hd_dead = true;
-    if constexpr (HD) {
-      const std::int64_t budget = policy.budget(da.solution_size());
-      hd_dead = budget == std::numeric_limits<std::int64_t>::max() ||
-                budget < 0 || da.max_degree_bound() <= budget;
-    }
-    if ((!D1 || !cand1) && (!D2 || !cand2) && hd_dead) {
-      stats.rounds = 1;
-      da.clear_dirty();
-      da.set_reduce_fixpoint_mask(kFixpointMask);
-      return stats;
-    }
-  }
-
-  da.suspend_dirty_cap();
-  std::size_t cursor1 = 0, cursor2 = 0;
-  bool list1 = false, list2 = false;
-  if constexpr (D1 && D2) {
-    if (!seeded1 && !seeded2) {
-      const std::span<const std::int32_t> deg = da.raw();
-      ws.seed1.clear();
-      ws.seed2.clear();
-      const Vertex n = da.num_vertices();
-      for (Vertex v = 0; v < n; ++v) {
-        const std::int32_t d = deg[static_cast<std::size_t>(v)];
-        if (d == 1) ws.seed1.push_back(v);
-        else if (d == 2) ws.seed2.push_back(v);
-      }
-      cursor1 = cursor2 = da.dirty().size();
-      list1 = list2 = true;
-    }
-  }
-
-  const std::vector<Vertex>& log = da.dirty();
-  std::int64_t round_removed;
-  do {
-    round_removed = 0;
-    if constexpr (D1) {
-      const SeedMode mode = list1 ? SeedMode::kList
-                           : seeded1 ? SeedMode::kLog
-                                     : SeedMode::kScan;
-      if (mode != SeedMode::kLog || cursor1 < log.size()) {
-        std::int64_t n = timed(acc, util::Activity::kDegreeOneRule, [&] {
-          return run_rule_pass(
-              da, ws, cursor1, mode, &ws.seed1, 1, kRuleBitDegreeOne,
-              [&](Vertex v) -> std::int64_t {
-                if (!da.present(v) || da.degree(v) != 1) return 0;
-                Vertex u = unique_present_neighbor(g, da, nullptr, v);
-                da.remove_into_solution(g, u);
-                return 1;
-              });
-        });
-        stats.degree_one_removed += n;
-        round_removed += n;
-      }
-      seeded1 = true;
-      list1 = false;
-    }
-    if constexpr (D2) {
-      const SeedMode mode = list2 ? SeedMode::kList
-                           : seeded2 ? SeedMode::kLog
-                                     : SeedMode::kScan;
-      if (mode != SeedMode::kLog || cursor2 < log.size()) {
-        std::int64_t n = timed(acc, util::Activity::kDegreeTwoTriangleRule, [&] {
-          return run_rule_pass(
-              da, ws, cursor2, mode, &ws.seed2, 2, kRuleBitDegreeTwo,
-              [&](Vertex v) -> std::int64_t {
-                if (!da.present(v) || da.degree(v) != 2) return 0;
-                Vertex a = -1, b = -1;
-                if (!two_present_neighbors(g, da, nullptr, v, a, b)) return 0;
-                if (!g.has_edge(a, b)) return 0;
-                da.remove_into_solution(g, a);
-                da.remove_into_solution(g, b);
-                return 2;
-              });
-        });
-        stats.degree_two_removed += n;
-        round_removed += n;
-      }
-      seeded2 = true;
-      list2 = false;
-    }
-    if constexpr (HD) {
-      std::int64_t n = timed(acc, util::Activity::kHighDegreeRule, [&] {
-        return high_degree_incremental(g, da, policy);
-      });
-      stats.high_degree_removed += n;
-      round_removed += n;
-    }
-    ++stats.rounds;
-  } while (round_removed > 0);
-
-  da.clear_dirty();
-  da.restore_dirty_cap();
-  da.set_reduce_fixpoint_mask(kFixpointMask);
-  return stats;
-}
-
-/// Mask bits as in sweep_pass_for_mask: 1 = degree-one, 2 = degree-two,
-/// 4 = high-degree.
-ReduceStats incremental_pass_for_mask(std::uint8_t m, const CsrGraph& g,
-                                      DegreeArray& da,
-                                      const BudgetPolicy& policy,
-                                      util::ActivityAccumulator* acc,
-                                      ReduceWorkspace& ws) {
-  switch (m & 7u) {
-    case 0: return reduce_incremental_pass<false, false, false>(g, da, policy, acc, ws);
-    case 1: return reduce_incremental_pass<true, false, false>(g, da, policy, acc, ws);
-    case 2: return reduce_incremental_pass<false, true, false>(g, da, policy, acc, ws);
-    case 3: return reduce_incremental_pass<true, true, false>(g, da, policy, acc, ws);
-    case 4: return reduce_incremental_pass<false, false, true>(g, da, policy, acc, ws);
-    case 5: return reduce_incremental_pass<true, false, true>(g, da, policy, acc, ws);
-    case 6: return reduce_incremental_pass<false, true, true>(g, da, policy, acc, ws);
-    default: return reduce_incremental_pass<true, true, true>(g, da, policy, acc, ws);
-  }
 }
 
 /// Standalone incremental rule call: no prior fixpoint to lean on, so seed
@@ -854,9 +494,10 @@ ReduceStats incremental_pass_for_mask(std::uint8_t m, const CsrGraph& g,
 /// state (a previously untracked array stays untracked; a tracked one keeps
 /// the entries our removals appended — the owning engine treats them as
 /// candidates, which is merely conservative).
-template <typename RunRule>
+template <typename TryApply>
 std::int64_t standalone_incremental(DegreeArray& da, ReduceWorkspace* ws,
-                                    RunRule&& run) {
+                                    std::int32_t trigger_degree,
+                                    TryApply&& try_apply) {
   ReduceWorkspace local;
   ReduceWorkspace& w = ws ? *ws : local;
   const bool was_tracking = da.tracking();
@@ -870,7 +511,8 @@ std::int64_t standalone_incremental(DegreeArray& da, ReduceWorkspace* ws,
   }
   da.suspend_dirty_cap();
   std::size_t cursor = da.dirty().size();
-  std::int64_t removed = run(w, cursor);
+  std::int64_t removed = run_rule_pass(da, w, cursor, SeedMode::kScan, nullptr,
+                                       trigger_degree, try_apply);
   if (!was_tracking)
     da.disable_tracking();
   else
@@ -897,10 +539,8 @@ std::int64_t apply_degree_one(const CsrGraph& g, DegreeArray& da,
       return degree_one_sweep(g, da, ws ? ws->snapshot : local.snapshot);
     }
     case ReduceSemantics::kIncremental:
-      return standalone_incremental(da, ws, [&](ReduceWorkspace& w,
-                                                std::size_t& cursor) {
-        return degree_one_incremental(g, da, w, cursor, /*seed_scan=*/true);
-      });
+      return standalone_incremental(
+          da, ws, 1, [&](Vertex v) { return degree_one_at(g, da, v); });
   }
   GVC_CHECK(false);
   return 0;
@@ -917,10 +557,8 @@ std::int64_t apply_degree_two_triangle(const CsrGraph& g, DegreeArray& da,
       return degree_two_sweep(g, da, ws ? ws->snapshot : local.snapshot);
     }
     case ReduceSemantics::kIncremental:
-      return standalone_incremental(da, ws, [&](ReduceWorkspace& w,
-                                                std::size_t& cursor) {
-        return degree_two_incremental(g, da, w, cursor, /*seed_scan=*/true);
-      });
+      return standalone_incremental(
+          da, ws, 2, [&](Vertex v) { return degree_two_at(g, da, v); });
   }
   GVC_CHECK(false);
   return 0;
@@ -943,56 +581,17 @@ std::int64_t apply_high_degree(const CsrGraph& g, DegreeArray& da,
   return 0;
 }
 
-void adopt_node(const DegreeArray& da, ReduceWorkspace& ws) {
+void adopt_node(const DegreeArray& da) {
   obs::trace_instant(obs::TraceCat::kWork, "adopt", "edges", da.num_edges());
-  ws.kernel_tag_valid = false;
 }
 
 ReduceStats reduce(const CsrGraph& g, DegreeArray& da,
                    const BudgetPolicy& policy, ReduceSemantics semantics,
                    const RuleSet& rules, util::ActivityAccumulator* acc,
-                   ReduceWorkspace* ws, KernelDispatch dispatch) {
+                   ReduceWorkspace* ws) {
   ReduceWorkspace local;
   ReduceWorkspace& w = ws ? *ws : local;
-
-  // Sampled fixpoint span. The tag argument encodes the dispatch shape the
-  // pass runs under (width | live_rules<<2); -1 before the
-  // lineage's first classification (right after adoption).
-  obs::TraceSpanSampled trace_span(
-      obs::TraceCat::kReduce, "reduce", "tag",
-      w.kernel_tag_valid
-          ? static_cast<std::int64_t>(
-                static_cast<unsigned>(w.kernel_tag.width) |
-                (static_cast<unsigned>(w.kernel_tag.live_rules) << 2))
-          : -1);
-
-  if (dispatch == KernelDispatch::kAuto &&
-      semantics != ReduceSemantics::kSerial) {
-    // Classify at adoption, re-classify on the cheap invalidation signals:
-    // adopt_node() cleared the flag when the block picked this lineage up,
-    // and a dirty-log overflow invalidates the log-derived refinement. The
-    // width class is monotone within a descent (kernel_dispatch.hpp), so
-    // the cached tag stays sound everywhere else.
-    if (!w.kernel_tag_valid || da.dirty_overflowed()) {
-      w.kernel_tag = classify(da);
-      w.kernel_tag_valid = true;
-    }
-    const std::uint8_t rule_mask = static_cast<std::uint8_t>(
-        (rules.degree_one ? 1u : 0u) | (rules.degree_two_triangle ? 2u : 0u) |
-        (rules.high_degree ? 4u : 0u));
-    if (semantics == ReduceSemantics::kIncremental)
-      return incremental_pass_for_mask(rule_mask, g, da, policy, acc, w);
-    switch (w.kernel_tag.width) {
-      case DegreeWidth::kU8:
-        return sweep_pass_for_mask<std::uint8_t>(rule_mask, g, da, policy,
-                                                 acc, w);
-      case DegreeWidth::kU16:
-        return sweep_pass_for_mask<std::uint16_t>(rule_mask, g, da, policy,
-                                                  acc, w);
-      case DegreeWidth::kU32:
-        break;  // the generic loop below IS the u32 kernel
-    }
-  }
+  obs::TraceSpanSampled trace_span(obs::TraceCat::kReduce, "reduce");
 
   if (semantics == ReduceSemantics::kIncremental)
     return reduce_incremental(g, da, policy, rules, acc, w);

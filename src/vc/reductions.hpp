@@ -44,34 +44,22 @@
 // dirtied vertices travel inside the copied degree array — so a child's
 // reduction seeds from O(changed) candidates, not a fresh |V| scan.
 //
-// KERNEL DISPATCH (vc/kernel_dispatch.hpp). Under KernelDispatch::kAuto,
-// reduce() routes through template specializations selected by the block's
-// cached KernelTag instead of the one-size-fits-all path:
+// There is one incremental engine, and every caller runs it: the solvers,
+// greedy_mvc, the tree-shape replay and the standalone rule calls below.
+// Beyond the per-rule worklists it saves work three ways, none of which
+// changes a state transition:
 //
-//   * degree width  — kParallelSweep runs on u8/u16 degree snapshots when
-//     the (monotone) maximum-degree bound proves every degree fits, quartering
-//     or halving snapshot traffic; u32 shapes run the generic loop, which
-//     IS the u32 kernel;
-//   * rule mask     — the enabled-rule set is a template parameter, so an
-//     ablation configuration carries no dead rule branches, and the
-//     incremental pass skips a rule that is at its lineage fixpoint with no
-//     dirty-log candidate at its trigger without re-probing (a provable
-//     no-op: the cursor has nothing left to drain);
-//   * fused seeding — the first incremental reduction of a lineage collects
-//     the degree-1 and degree-2 seed lists in ONE linear scan instead of
-//     two.
+//   * whole-call dead fast path — when every enabled candidate rule is at
+//     its lineage fixpoint with no dirty-log entry at its trigger degree
+//     and the O(1) budget gate proves the high-degree rule cannot fire, the
+//     call returns without seeding a worklist;
+//   * fused seeding — the first reduction of a lineage collects the
+//     degree-1 and degree-2 seed lists in ONE linear scan instead of two;
+//   * empty-log skip — within a call, a rule at its fixpoint whose share of
+//     the log is drained is not re-run (its worklist would seed empty).
 //
-// The tag is classified when a block ADOPTS a node (adopt_node below) and
-// re-validated only on cheap signals — a dirty-log overflow, or adoption
-// itself; see kernel_dispatch.hpp for why that is sound across a descent.
-//
-// CONTRACT: the dispatch knob is execution policy, exactly like
-// BranchStateMode. Every specialization produces BIT-IDENTICAL state
-// transitions — same covers, same removal counts, same search trees — as
-// the generic path (the randomized differential and exhaustive oracle
-// suites compare them directly), so the knob stays OUT of the result-cache
-// key (service/graph_hash.cpp). kSerial has nothing to specialize (it
-// takes no snapshots and keeps no worklists) and always runs generic.
+// The enabled RuleSet is read at run time; the differential suites check
+// every subset against kSerial.
 
 #include <cstdint>
 #include <limits>
@@ -79,7 +67,6 @@
 
 #include "util/timer.hpp"
 #include "vc/degree_array.hpp"
-#include "vc/kernel_dispatch.hpp"
 #include "vc/descent.hpp"
 
 namespace gvc::vc {
@@ -126,26 +113,12 @@ struct ReduceWorkspace {
   std::vector<std::int32_t> snapshot;
   std::vector<Vertex> heap;
   std::vector<Vertex> next;
-  /// Per-vertex already-enqueued stamps. The generic engine uses 0/1; the
-  /// dispatched kernels stamp per-rule bits (kRuleBit*) so rule worklists
-  /// could coexist — either way every stamp is cleared again by the time a
-  /// rule run returns, so the buffer is all-zero between runs and the two
-  /// schemes share it safely.
+  /// Per-vertex already-enqueued stamps; every stamp is cleared again by the
+  /// time a rule run returns, so the buffer is all-zero between runs.
   std::vector<std::uint8_t> pending;
-
-  /// Shape-specialized scratch (KernelDispatch::kAuto): narrow degree
-  /// snapshots for the u8/u16 sweep kernels and the fused seed lists of the
-  /// incremental pass.
-  std::vector<std::uint8_t> snapshot8;
-  std::vector<std::uint16_t> snapshot16;
+  /// The fused seed lists of an incremental reduction's first round.
   std::vector<Vertex> seed1;
   std::vector<Vertex> seed2;
-
-  /// The block's cached KernelTag. adopt_node() invalidates it whenever the
-  /// block picks up a root or donated node; reduce() re-classifies then (or
-  /// after a dirty-log overflow) and trusts it for the rest of the descent.
-  KernelTag kernel_tag;
-  bool kernel_tag_valid = false;
 
   /// Apply/undo branching scratch (BranchStateMode::kUndoTrail): the
   /// mutation trail and the deferred-branch frame stack a trail-mode
@@ -188,23 +161,16 @@ struct RuleSet {
 /// the caller performs next accumulate the (small) candidate seed for the
 /// children's reductions. Callers need not do anything special — the state
 /// travels inside the DegreeArray copies.
-/// `dispatch` selects between the generic kernels (the baseline, and the
-/// default so standalone callers need no workspace discipline) and the
-/// shape-specialized ones (kAuto; see the header comment — bit-identical by
-/// contract, so the choice never changes results).
 ReduceStats reduce(const CsrGraph& g, DegreeArray& da,
                    const BudgetPolicy& policy, ReduceSemantics semantics,
                    const RuleSet& rules = {},
                    util::ActivityAccumulator* acc = nullptr,
-                   ReduceWorkspace* ws = nullptr,
-                   KernelDispatch dispatch = KernelDispatch::kGeneric);
+                   ReduceWorkspace* ws = nullptr);
 
 /// An engine has picked up a standalone node (a root, a worklist removal, a
-/// steal, a local-stack pop): invalidate the workspace's cached KernelTag so
-/// the next reduce() re-classifies for the adopted lineage. Every pickup
-/// site calls this — it is the "connection time" of the dispatch design
-/// (see vc/kernel_dispatch.hpp).
-void adopt_node(const DegreeArray& da, ReduceWorkspace& ws);
+/// steal, a local-stack pop): emits the "adopt" trace instant with the
+/// node's live edge count.
+void adopt_node(const DegreeArray& da);
 
 // Individual rules, each applied to its own fixpoint; exposed for unit
 // testing. Each returns the number of vertices moved into S. Under

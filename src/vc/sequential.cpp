@@ -93,8 +93,7 @@ SolveResult solve_sequential(const CsrGraph& g, const SequentialConfig& config,
 
     const BudgetPolicy policy =
         mvc ? BudgetPolicy::mvc(best) : BudgetPolicy::pvc(k);
-    reduce(g, da, policy, config.semantics, config.rules, nullptr, &ws,
-           config.kernel_dispatch);
+    reduce(g, da, policy, config.semantics, config.rules, nullptr, &ws);
 
     const std::int64_t s = da.solution_size();
     // Stopping condition (Fig. 1 line 5; §II-B PVC variant).

@@ -35,11 +35,6 @@ struct SequentialConfig {
   /// and produces exactly the tree kCopy does; kCopy is the paper's
   /// copy-on-branch design, which the paper-faithful harness requests.
   BranchStateMode branch_state = BranchStateMode::kUndoTrail;
-
-  /// Shape-specialized reduce kernels (see reductions.hpp). Execution
-  /// policy: kAuto produces bit-identical trees to kGeneric, so like
-  /// branch_state this stays out of the result-cache key.
-  KernelDispatch kernel_dispatch = KernelDispatch::kAuto;
 };
 
 /// Runs branch-and-reduce to completion (or until `control` stops it — its

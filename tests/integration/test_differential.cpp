@@ -54,11 +54,9 @@ TEST_P(DifferentialSweep, EveryEngineEveryConfigAgreesOnMvc) {
   const int expected = vc::solve_sequential(g, ref).best_size;
 
   // Full cross of engine × rule semantics × branch-state mode × branching
-  // strategy × kernel dispatch: no single axis choice may move the optimum.
-  // The branch-state axis rides on every semantics (the trail interacts
-  // with the dirty log only under kIncremental, but must stay exact under
-  // all three); the dispatch axis rides on everything (every specialized
-  // kernel must behave like the generic one under every engine).
+  // strategy: no single axis choice may move the optimum. The branch-state
+  // axis rides on every semantics (the trail interacts with the dirty log
+  // only under kIncremental, but must stay exact under all three).
   for (parallel::Method method : parallel::all_methods()) {
     for (vc::ReduceSemantics semantics :
          {vc::ReduceSemantics::kSerial, vc::ReduceSemantics::kParallelSweep,
@@ -66,23 +64,18 @@ TEST_P(DifferentialSweep, EveryEngineEveryConfigAgreesOnMvc) {
       for (vc::BranchStateMode mode : vc::all_branch_state_modes()) {
         for (vc::BranchStrategy branch :
              {vc::BranchStrategy::kMaxDegree, vc::BranchStrategy::kRandom}) {
-          for (vc::KernelDispatch dispatch :
-               {vc::KernelDispatch::kGeneric, vc::KernelDispatch::kAuto}) {
-            parallel::ParallelConfig c = tiny_config();
-            c.semantics = semantics;
-            c.branch_state = mode;
-            c.branch = branch;
-            c.branch_seed = static_cast<std::uint64_t>(seed);
-            c.kernel_dispatch = dispatch;
-            parallel::ParallelResult r = parallel::solve(g, method, c);
-            EXPECT_EQ(r.best_size, expected)
-                << parallel::method_name(method) << " semantics "
-                << static_cast<int>(semantics) << " mode "
-                << vc::branch_state_mode_name(mode) << " branch "
-                << vc::branch_strategy_name(branch) << " dispatch "
-                << vc::kernel_dispatch_name(dispatch);
-            EXPECT_TRUE(graph::is_vertex_cover(g, r.cover));
-          }
+          parallel::ParallelConfig c = tiny_config();
+          c.semantics = semantics;
+          c.branch_state = mode;
+          c.branch = branch;
+          c.branch_seed = static_cast<std::uint64_t>(seed);
+          parallel::ParallelResult r = parallel::solve(g, method, c);
+          EXPECT_EQ(r.best_size, expected)
+              << parallel::method_name(method) << " semantics "
+              << static_cast<int>(semantics) << " mode "
+              << vc::branch_state_mode_name(mode) << " branch "
+              << vc::branch_strategy_name(branch);
+          EXPECT_TRUE(graph::is_vertex_cover(g, r.cover));
         }
       }
     }

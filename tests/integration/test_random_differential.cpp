@@ -104,10 +104,11 @@ TEST(RandomDifferential, SequentialTrailBitIdenticalAcrossGeneratedGraphs) {
         SCOPED_TRACE(trace(family, size, seed));
         CsrGraph g = family.make(size, static_cast<std::uint64_t>(seed));
 
-        // Both rule semantics that promise serial-equivalent trees, so a
-        // trail bug that only shows under one candidate feed is caught.
+        // Every rule semantics, so a trail bug that only shows under one
+        // candidate feed or under the sweep's snapshots is caught.
         for (vc::ReduceSemantics semantics :
-             {vc::ReduceSemantics::kIncremental, vc::ReduceSemantics::kSerial}) {
+             {vc::ReduceSemantics::kIncremental, vc::ReduceSemantics::kSerial,
+              vc::ReduceSemantics::kParallelSweep}) {
           vc::SequentialConfig copy_cfg;
           copy_cfg.semantics = semantics;
           copy_cfg.branch_state = vc::BranchStateMode::kCopy;
@@ -234,11 +235,12 @@ TEST(RandomDifferential, SerializedTreesMatchPinnedValues) {
   }
 }
 
-TEST(RandomDifferential, DispatchBitIdenticalOnSerializedDevice) {
-  // The kernel-dispatch acceptance proof: the shape-specialized reduce
-  // kernels must reproduce the generic configuration's tree EXACTLY — same optimum, same node count — for the
-  // Sequential method and all four parallel methods on the serialized
-  // device, where counts are deterministic.
+TEST(RandomDifferential, IncrementalBitIdenticalToSerialOnSerializedDevice) {
+  // The one incremental engine against Fig. 1's textbook rules: for every
+  // method and every subset of the three rules (the engine reads the
+  // RuleSet at run time), kIncremental must reproduce kSerial's tree
+  // EXACTLY — same optimum, node count, worklist traffic and cover — on
+  // the serialized device, where counts are deterministic.
   const int seeds = env_knob("GVC_DIFF_SEEDS", 60) / 10 + 2;
   for (const Family& family : kFamilies) {
     for (int size : kSizes) {
@@ -247,23 +249,27 @@ TEST(RandomDifferential, DispatchBitIdenticalOnSerializedDevice) {
         CsrGraph g = family.make(size, static_cast<std::uint64_t>(seed) * 29 + 3);
 
         for (parallel::Method method : parallel::all_methods()) {
-          parallel::ParallelConfig generic =
-              serialized_config(vc::BranchStateMode::kUndoTrail);
-          generic.kernel_dispatch = vc::KernelDispatch::kGeneric;
-          parallel::ParallelResult want = parallel::solve(g, method, generic);
+          for (unsigned mask = 0; mask < 8; ++mask) {
+            SCOPED_TRACE(std::string(parallel::method_name(method)) +
+                         " rules=" + std::to_string(mask));
+            parallel::ParallelConfig serial =
+                serialized_config(vc::BranchStateMode::kUndoTrail);
+            serial.semantics = vc::ReduceSemantics::kSerial;
+            serial.rules.degree_one = (mask & 1u) != 0;
+            serial.rules.degree_two_triangle = (mask & 2u) != 0;
+            serial.rules.high_degree = (mask & 4u) != 0;
+            parallel::ParallelConfig incremental = serial;
+            incremental.semantics = vc::ReduceSemantics::kIncremental;
 
-          for (vc::KernelDispatch dispatch :
-               {vc::KernelDispatch::kGeneric, vc::KernelDispatch::kAuto}) {
-            parallel::ParallelConfig c = generic;
-            c.kernel_dispatch = dispatch;
-            parallel::ParallelResult got = parallel::solve(g, method, c);
-            ASSERT_EQ(got.best_size, want.best_size)
-                << parallel::method_name(method) << " dispatch "
-                << vc::kernel_dispatch_name(dispatch);
+            const parallel::ParallelResult want =
+                parallel::solve(g, method, serial);
+            const parallel::ParallelResult got =
+                parallel::solve(g, method, incremental);
             ASSERT_EQ(got.tree_nodes, want.tree_nodes)
-                << parallel::method_name(method) << " dispatch "
-                << vc::kernel_dispatch_name(dispatch)
-                << ": tree shape diverged from the generic kernels";
+                << "tree shape diverged from kSerial";
+            ASSERT_EQ(got.best_size, want.best_size);
+            ASSERT_EQ(got.worklist.adds, want.worklist.adds);
+            ASSERT_EQ(got.cover, want.cover);
             ASSERT_TRUE(graph::is_vertex_cover(g, got.cover));
           }
         }

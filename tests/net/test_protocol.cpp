@@ -264,12 +264,14 @@ TEST(Protocol, SolveRequestRejectsOutOfRangeEnums) {
 }
 
 TEST(Protocol, OldLayoutSolveRequestRejected) {
-  // Two retired layouts, both longer than today's, must be rejected as
-  // malformed, never misread or crash. With by_name=false the dispatch byte
-  // sits at offset 27 (u8 by_name, u64 graph_id, u8 method, u8 problem,
-  // i32 k, u8 semantics, u8 rules, u8 branch, u64 seed, u8 branch_state).
-  // Both old layouts put a u8 maximum-degree backend at offset 28; the
-  // older one also an i32 WorkStealing advertisement interval at 29.
+  // Three retired layouts, all longer than today's, must be rejected as
+  // malformed, never misread or crash. With by_name=false today's
+  // block-size override sits at offset 27 (u8 by_name, u64 graph_id,
+  // u8 method, u8 problem, i32 k, u8 semantics, u8 rules, u8 branch,
+  // u64 seed, u8 branch_state). All three old layouts put a u8 reduce-kernel
+  // dispatch byte at offset 27; the two older ones also a u8
+  // maximum-degree backend at 28, and the oldest an i32 WorkStealing
+  // advertisement interval at 29.
   SolveRequestMsg m;
   m.config.k = 5;
   std::vector<std::uint8_t> payload;
@@ -277,17 +279,25 @@ TEST(Protocol, OldLayoutSolveRequestRejected) {
   SolveRequestMsg d;
   ASSERT_TRUE(decode_solve_request(payload, &d));
 
-  std::vector<std::uint8_t> with_backend = payload;
-  with_backend.insert(with_backend.begin() + 28, std::uint8_t{0});
-  EXPECT_FALSE(decode_solve_request(with_backend, &d));
+  for (std::uint8_t dispatch : {0, 1}) {
+    SCOPED_TRACE("dispatch=" + std::to_string(dispatch));
+    std::vector<std::uint8_t> with_dispatch = payload;
+    with_dispatch.insert(with_dispatch.begin() + 27, dispatch);
+    ASSERT_EQ(with_dispatch.size(), payload.size() + 1);
+    EXPECT_FALSE(decode_solve_request(with_dispatch, &d));
 
-  for (std::uint8_t interval : {0, 4}) {
-    std::vector<std::uint8_t> with_interval = with_backend;
-    const std::uint8_t field[4] = {interval, 0, 0, 0};
-    with_interval.insert(with_interval.begin() + 29, field, field + 4);
-    ASSERT_EQ(with_interval.size(), payload.size() + 5);
-    EXPECT_FALSE(decode_solve_request(with_interval, &d))
-        << "interval=" << int{interval};
+    std::vector<std::uint8_t> with_backend = with_dispatch;
+    with_backend.insert(with_backend.begin() + 28, std::uint8_t{0});
+    EXPECT_FALSE(decode_solve_request(with_backend, &d));
+
+    for (std::uint8_t interval : {0, 4}) {
+      std::vector<std::uint8_t> with_interval = with_backend;
+      const std::uint8_t field[4] = {interval, 0, 0, 0};
+      with_interval.insert(with_interval.begin() + 29, field, field + 4);
+      ASSERT_EQ(with_interval.size(), payload.size() + 6);
+      EXPECT_FALSE(decode_solve_request(with_interval, &d))
+          << "interval=" << int{interval};
+    }
   }
 }
 

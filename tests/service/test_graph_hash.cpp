@@ -122,15 +122,11 @@ TEST(ConfigHash, CoversResultShapingKnobs) {
   // NOT shape the key: only complete (limit-independent) records are
   // cached, and requests differing only in budgets should share an entry.
 
-  // Pure execution-policy knobs must NOT shape the key either: every
-  // branch-state mode and reduce-kernel specialization produces
-  // bit-identical results by contract, so requests differing only
-  // in them share one cache entry.
+  // The pure execution-policy knob must NOT shape the key either: every
+  // branch-state mode produces bit-identical results by contract, so
+  // requests differing only in it share one cache entry.
   EXPECT_EQ(h, tweaked([](auto& c) {
     c.branch_state = vc::BranchStateMode::kCopy;
-  }));
-  EXPECT_EQ(h, tweaked([](auto& c) {
-    c.kernel_dispatch = vc::KernelDispatch::kGeneric;
   }));
 }
 

@@ -123,10 +123,9 @@ TEST(SolveService, IdenticalInflightSubmissionsCoalesce) {
 }
 
 TEST(SolveService, ExecutionPolicyKnobsShareOneCacheEntry) {
-  // kernel_dispatch and branch_state are execution policy (every setting
-  // produces bit-identical records), so they stay out of the cache key: a
-  // resubmission differing only in those knobs must be a pure cache hit,
-  // not a second solve.
+  // branch_state is execution policy (every setting produces bit-identical
+  // records), so it stays out of the cache key: a resubmission differing
+  // only in that knob must be a pure cache hit, not a second solve.
   ServiceOptions opts;
   opts.num_workers = 2;
   SolveService svc(opts);
@@ -134,14 +133,12 @@ TEST(SolveService, ExecutionPolicyKnobsShareOneCacheEntry) {
   JobSpec spec;
   spec.graph = share(graph::gnp(40, 0.25, 7));
   spec.method = Method::kSequential;
-  spec.config.kernel_dispatch = vc::KernelDispatch::kAuto;
   spec.config.branch_state = vc::BranchStateMode::kUndoTrail;
 
   JobTicket first = svc.submit(spec);
   const ParallelResult& r1 = svc.wait(first);
   EXPECT_FALSE(first.cache_hit);
 
-  spec.config.kernel_dispatch = vc::KernelDispatch::kGeneric;
   spec.config.branch_state = vc::BranchStateMode::kCopy;
   JobTicket second = svc.submit(spec);
   const ParallelResult& r2 = svc.wait(second);
@@ -285,12 +282,13 @@ TEST(SolveService, RejectPolicyRefusesOverflowInsteadOfBlocking) {
   opts.full_policy = JobQueue::FullPolicy::kReject;
   SolveService svc(opts);
 
-  // Pin the worker on a hard instance, then flood the 2-slot shard with
-  // distinct jobs. With the worker busy, at most 2 can be queued + however
-  // many the worker manages to drain; with enough submissions some MUST be
-  // rejected — and under kReject, submit() never blocks.
+  // Pin the worker on a job that cannot finish while the test runs (an
+  // exact MVC of G(200, 0.2)), then flood the 2-slot shard with distinct
+  // jobs. The busy worker drains nothing, so exactly 2 are queued and the
+  // other 6 rejected — and under kReject, submit() never blocks. Cancelling
+  // the blocker afterwards lets the queued two run.
   JobSpec blocker;
-  blocker.graph = share(graph::complement(graph::p_hat(70, 0.4, 0.9, 23)));
+  blocker.graph = share(graph::gnp(200, 0.2, 1));
   blocker.method = Method::kSequential;
   JobTicket tb = svc.submit(blocker);
   while (tb.state->status() == JobStatus::kQueued)
@@ -304,13 +302,14 @@ TEST(SolveService, RejectPolicyRefusesOverflowInsteadOfBlocking) {
     spec.method = Method::kSequential;
     flood.push_back(svc.submit(std::move(spec)));
   }
+  EXPECT_TRUE(tb.cancel());
+  EXPECT_EQ(tb.state->wait(), JobStatus::kCancelled);
 
   std::size_t rejected = 0;
   for (const auto& t : flood)
     if (t.state->wait() == JobStatus::kRejected) ++rejected;
-  EXPECT_GE(rejected, 6u);  // 8 offered, at most 2 slots
+  EXPECT_EQ(rejected, 6u);  // 8 offered, 2 slots
   EXPECT_EQ(svc.stats().rejected, rejected);
-  svc.wait(tb);
 }
 
 TEST(SolveService, TryPollIsNonBlockingAndEventuallyReady) {

@@ -126,7 +126,6 @@ TEST(SolverFlags, AllFlagsLand) {
   const auto args = args_of({"--problem", "pvc", "--k", "5",
                              "--branch", "mindegree",
                              "--branch-state", "copy",
-                             "--kernel-dispatch", "generic",
                              "--seed", "99", "--grid", "4",
                              "--block-size", "128",
                              "--worklist-capacity", "512",
@@ -137,7 +136,6 @@ TEST(SolverFlags, AllFlagsLand) {
   EXPECT_EQ(config.k, 5);
   EXPECT_EQ(config.branch, vc::BranchStrategy::kMinDegree);
   EXPECT_EQ(config.branch_state, vc::BranchStateMode::kCopy);
-  EXPECT_EQ(config.kernel_dispatch, vc::KernelDispatch::kGeneric);
   EXPECT_EQ(config.branch_seed, 99u);
   EXPECT_EQ(config.grid_override, 4);
   EXPECT_EQ(config.block_size_override, 128);
@@ -152,8 +150,6 @@ TEST(SolverFlags, RejectsUnknownEnumNames) {
   EXPECT_FALSE(parse_solver_flags(args_of({"--branch", "widest"}), &config));
   EXPECT_FALSE(
       parse_solver_flags(args_of({"--branch-state", "cow"}), &config));
-  EXPECT_FALSE(
-      parse_solver_flags(args_of({"--kernel-dispatch", "magic"}), &config));
 }
 
 // ---------------------------------------------------------------------------

@@ -181,7 +181,6 @@ TEST(Descent, AdoptStartsAFreshSubtree) {
   EXPECT_TRUE(ws.frames.empty());
   EXPECT_EQ(ws.undo_trail.depth(), 0u);
   EXPECT_EQ(da.trail(), &ws.undo_trail);
-  EXPECT_FALSE(ws.kernel_tag_valid);
   EXPECT_FALSE(descent.next(da));
 }
 

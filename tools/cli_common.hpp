@@ -132,11 +132,10 @@ inline std::optional<parallel::Method> parse_method_flag(
 }
 
 /// Parses the solver-shape flags every tool shares into `config`:
-/// --problem/--k, --branch, --branch-state, --kernel-dispatch, --seed,
-/// --grid, --block-size, --worklist-capacity, --worklist-threshold,
-/// --start-depth. Absent flags keep the config's current values as
-/// defaults. Prints the offending flag and returns false on unknown enum
-/// names.
+/// --problem/--k, --branch, --branch-state, --seed, --grid, --block-size,
+/// --worklist-capacity, --worklist-threshold, --start-depth. Absent flags
+/// keep the config's current values as defaults. Prints the offending flag
+/// and returns false on unknown enum names.
 inline bool parse_solver_flags(const util::Args& args,
                                parallel::ParallelConfig* config) {
   if (args.has("problem")) {
@@ -171,17 +170,6 @@ inline bool parse_solver_flags(const util::Args& args,
       return false;
     }
     config->branch_state = *mode;
-  }
-  if (args.has("kernel-dispatch")) {
-    const std::optional<vc::KernelDispatch> dispatch =
-        vc::try_parse_kernel_dispatch(args.get("kernel-dispatch"));
-    if (!dispatch.has_value()) {
-      std::fprintf(stderr,
-                   "unknown --kernel-dispatch '%s' (want auto|generic)\n",
-                   args.get("kernel-dispatch").c_str());
-      return false;
-    }
-    config->kernel_dispatch = *dispatch;
   }
   config->branch_seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<long long>(config->branch_seed)));

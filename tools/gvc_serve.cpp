@@ -33,9 +33,6 @@
 //   --branch-state S       undotrail|copy backtracking for every job's
 //                          solve (default undotrail; identical results;
 //                          globalonly and workstealing ignore it)
-//   --kernel-dispatch S    auto|generic reduce-kernel selection for every
-//                          job's solve (default auto; NOT part of the cache
-//                          key — all kernels produce identical results)
 //   --time-limit S         per-job solve budget (default 0 = none)
 //   --min-cache-seconds S  cost-aware cache admission: skip storing solves
 //                          cheaper than S seconds (default 0 = store all)
@@ -152,8 +149,8 @@ int main(int argc, char** argv) {
   service::JobSpec base;
   base.limits.time_limit_s = args.get_double("time-limit", 0.0);
   base.deadline_s = args.get_double("deadline-ms", 0.0) * 1e-3;
-  // Shared solver-shape flags (tools/cli_common.hpp): --branch-state,
-  // --kernel-dispatch and friends.
+  // Shared solver-shape flags (tools/cli_common.hpp): --branch-state and
+  // friends.
   if (!tools::parse_solver_flags(args, &base.config)) return 64;
   const double cancel_after_ms = args.get_double("cancel-after-ms", 0.0);
   const double progress_every_s = args.get_double("progress-every", 0.0);

@@ -14,10 +14,6 @@
 //                        apply/undo backtracking; copy is the paper's
 //                        copy-on-branch design; both produce the same tree;
 //                        globalonly and workstealing ignore it)
-//   --kernel-dispatch S  auto|generic (default auto — pick a reduce kernel
-//                        specialized for the block's degree width /
-//                        live-rule shape; generic forces the one-size
-//                        kernel; both produce the same tree)
 //   --grid N             force the grid size (default: occupancy plan)
 //   --block-size N       force the block size in the §IV-E plan
 //   --worklist-capacity N   Hybrid/GlobalOnly queue entries (default 4096)
