@@ -60,7 +60,8 @@ class BlockContext {
   /// Record one visited search-tree node.
   void count_node() { ++stats_.nodes_visited; }
 
-  /// Bulk form for batched accounting (see NodeCounter).
+  /// Bulk form: a block's node total, added once when it exits
+  /// (vc::NodeBatch hands its count to mutable_stats().nodes_visited).
   void count_nodes(std::uint64_t n) { stats_.nodes_visited += n; }
 
   std::uint64_t nodes_visited() const { return stats_.nodes_visited; }
@@ -73,37 +74,6 @@ class BlockContext {
  private:
   int slot_id_;
   BlockStats stats_;
-};
-
-/// Batches BlockContext::count_node() the same way SharedSearch::NodeBatch
-/// batches the shared limit counter: the solver hot loop ticks a local
-/// accumulator and the total lands in BlockStats in one count_nodes() call
-/// when the counter goes out of scope at block exit. On a GPU this is the
-/// register-resident per-block counter flushed to the instrumentation
-/// buffer once, instead of a global-memory increment per tree node.
-/// BlockStats::nodes_visited is therefore exact only after the block body
-/// has returned — which is when LaunchStats collects it.
-class NodeCounter {
- public:
-  explicit NodeCounter(BlockContext& ctx) : ctx_(&ctx) {}
-  NodeCounter(const NodeCounter&) = delete;
-  NodeCounter& operator=(const NodeCounter&) = delete;
-  ~NodeCounter() { flush(); }
-
-  /// Record one visited search-tree node (local increment only).
-  void tick() { ++pending_; }
-
-  /// Pushes the locally counted nodes into the block's stats.
-  void flush() {
-    if (pending_ > 0) {
-      ctx_->count_nodes(pending_);
-      pending_ = 0;
-    }
-  }
-
- private:
-  BlockContext* ctx_;
-  std::uint64_t pending_ = 0;
 };
 
 /// Aggregated results of one grid launch.

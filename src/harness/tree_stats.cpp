@@ -6,10 +6,8 @@
 
 #include "util/check.hpp"
 #include "util/stats.hpp"
-#include "util/timer.hpp"
-#include "vc/branching.hpp"
 #include "vc/greedy.hpp"
-#include "vc/reductions.hpp"
+#include "vc/search.hpp"
 
 namespace gvc::harness {
 
@@ -19,20 +17,21 @@ using graph::CsrGraph;
 using graph::Vertex;
 
 /// One traversal replaying the Sequential solver's visit order: a node is
-/// processed (reduce → prune → cover-check), then the vmax child is
-/// explored before the neighbors child — the recursion of Fig. 1, which is
-/// what sequential.cpp's LIFO stack realizes.
+/// visited by the shared search (vc::BlockSearch — reduce, prune, cover
+/// harvest, branch vertex, node budget), then the vmax child is explored
+/// before the neighbors child — the recursion of Fig. 1, which
+/// solve_sequential's Descent realizes. The recursion stays because each
+/// node's sub-tree size is what the depth slices record.
 class ShapeTraversal {
  public:
   ShapeTraversal(const CsrGraph& g, const TreeShapeOptions& options,
                  TreeShape& shape)
-      : g_(g), opt_(options), shape_(shape) {
-    mvc_ = opt_.solver.problem == vc::Problem::kMvc;
-    k_ = opt_.solver.k;
-    GVC_CHECK_MSG(mvc_ || k_ > 0, "PVC requires k > 0");
-    vc::GreedyResult greedy = vc::greedy_mvc(g);
-    best_ = greedy.size;
-    best_size_ = mvc_ ? greedy.size : -1;
+      : g_(g),
+        opt_(options),
+        shape_(shape),
+        control_(options.limits),
+        shared_(start_search(g, options, &control_)),
+        search_(g, options.solver, shared_, ws_) {
     shape_.slices.resize(
         static_cast<std::size_t>(opt_.record_max_depth) + 1);
     for (int d = 0; d <= opt_.record_max_depth; ++d)
@@ -41,60 +40,39 @@ class ShapeTraversal {
 
   void run() {
     visit(vc::DegreeArray(g_), 0);
-    shape_.total_nodes = nodes_;
-    shape_.best_size = best_size_;
-    shape_.timed_out = timed_out_;
+    shape_.total_nodes = search_.visited();
+    shape_.best_size = shared_.harvest().best_size;
+    shape_.timed_out = shared_.aborted();
     finalize_slices();
   }
 
  private:
-  std::uint64_t visit(vc::DegreeArray da, int depth) {
-    if (timed_out_ || pvc_found_) return 0;
-    if ((opt_.limits.max_tree_nodes != 0 &&
-         nodes_ >= opt_.limits.max_tree_nodes) ||
-        (opt_.limits.time_limit_s != 0.0 &&
-         timer_.seconds() > opt_.limits.time_limit_s)) {
-      timed_out_ = true;
-      return 0;
-    }
+  static vc::SharedSearch start_search(const CsrGraph& g,
+                                       const TreeShapeOptions& options,
+                                       vc::SolveControl* control) {
+    vc::GreedyResult greedy = vc::greedy_mvc(g);
+    return vc::SharedSearch(options.solver.problem, options.solver.k,
+                            greedy.size, std::move(greedy.cover), control);
+  }
 
-    ++nodes_;
+  std::uint64_t visit(vc::DegreeArray da, int depth) {
+    if (shared_.pvc_found()) return 0;
+    Vertex vmax = -1;
+    const vc::NodeOutcome out = search_.visit(da, vmax);
+    if (out == vc::NodeOutcome::kAbort) return 0;
+
     if (static_cast<std::size_t>(depth) >= shape_.nodes_per_depth.size())
       shape_.nodes_per_depth.resize(static_cast<std::size_t>(depth) + 1, 0);
     ++shape_.nodes_per_depth[static_cast<std::size_t>(depth)];
     shape_.max_depth_reached = std::max(shape_.max_depth_reached, depth);
 
     std::uint64_t size = 1;
-
-    const vc::BudgetPolicy policy =
-        mvc_ ? vc::BudgetPolicy::mvc(best_) : vc::BudgetPolicy::pvc(k_);
-    vc::reduce(g_, da, policy, opt_.solver.semantics, opt_.solver.rules);
-
-    const std::int64_t s = da.solution_size();
-    const std::int64_t e = da.num_edges();
-    const bool pruned =
-        mvc_ ? (s >= best_ || e > (best_ - s - 1) * (best_ - s - 1))
-             : (s > k_ || e > (k_ - s) * (k_ - s));
-
-    if (!pruned) {
-      if (e == 0) {  // cover found
-        if (mvc_) {
-          best_ = s;
-          best_size_ = static_cast<int>(s);
-        } else {
-          pvc_found_ = true;
-          best_size_ = static_cast<int>(s);
-        }
-      } else {
-        const Vertex vmax = vc::select_branch_vertex(
-            da, opt_.solver.branch, opt_.solver.branch_seed);
-        GVC_DCHECK(vmax >= 0);
-        vc::DegreeArray neighbors_child = da;
-        neighbors_child.remove_neighbors_into_solution(g_, vmax);
-        da.remove_into_solution(g_, vmax);
-        size += visit(std::move(da), depth + 1);
-        size += visit(std::move(neighbors_child), depth + 1);
-      }
+    if (out == vc::NodeOutcome::kBranch) {
+      vc::DegreeArray neighbors_child = da;
+      neighbors_child.remove_neighbors_into_solution(g_, vmax);
+      da.remove_into_solution(g_, vmax);
+      size += visit(std::move(da), depth + 1);
+      size += visit(std::move(neighbors_child), depth + 1);
     }
 
     if (depth <= opt_.record_max_depth)
@@ -131,14 +109,10 @@ class ShapeTraversal {
   const TreeShapeOptions& opt_;
   TreeShape& shape_;
 
-  bool mvc_ = true;
-  int k_ = 0;
-  std::int64_t best_ = 0;
-  int best_size_ = -1;
-  bool pvc_found_ = false;
-  bool timed_out_ = false;
-  std::uint64_t nodes_ = 0;
-  util::WallTimer timer_;
+  vc::SolveControl control_;
+  vc::SharedSearch shared_;
+  vc::ReduceWorkspace ws_;
+  vc::BlockSearch search_;
 };
 
 }  // namespace

@@ -13,10 +13,11 @@
 // variation, Gini, top-share) are what bench/tree_shape_report prints;
 // bench/ablation_load_balancer and examples/compare_methods read them too.
 //
-// The traversal replays the Sequential solver exactly (same reduction
-// semantics, same branch order, same best updates), so total node counts
-// agree with solve_sequential — property-tested in tests/harness. It is the
-// library's only replay of that traversal.
+// Each node is visited by the shared search (vc::BlockSearch — the reduce,
+// prune, cover harvest and node budget solve_sequential runs), in Fig. 1's
+// branch order, so total node counts agree with solve_sequential —
+// property-tested in tests/harness. Only the traversal is its own: a
+// recursion, because each node's sub-tree size is what the slices record.
 
 #include <cstdint>
 #include <vector>

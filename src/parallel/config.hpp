@@ -118,11 +118,11 @@ struct ParallelConfig {
   double worklist_threshold_frac = 0.5;
 };
 
-/// The Sequential-engine view of a ParallelConfig: every field the
-/// single-block solver understands, mapped one to one. This is the single
-/// place that mapping lives — dispatch_solve's kSequential arm and the
-/// batch solver (one Sequential engine per block) both use it, so a field
-/// added to both configs cannot be silently dropped in one path.
+/// The shared-search view of a ParallelConfig (vc/search.hpp): every field
+/// the visit and the depth-first loop read, mapped one to one. This is the
+/// single place that mapping lives — the Sequential arm, the batch solver
+/// and each block solver map once per solve, so a field added to both
+/// configs cannot be silently dropped in one path.
 inline vc::SequentialConfig sequential_config_of(const ParallelConfig& config) {
   vc::SequentialConfig sc;
   sc.problem = config.problem;

@@ -6,13 +6,9 @@
 #include <vector>
 
 #include "obs/trace.hpp"
-#include "parallel/node_visit.hpp"
-#include "parallel/shared_state.hpp"
-#include "util/check.hpp"
 #include "util/timer.hpp"
-#include "vc/branching.hpp"
 #include "vc/greedy.hpp"
-#include "vc/reductions.hpp"
+#include "vc/search.hpp"
 #include "worklist/global_worklist.hpp"
 
 namespace gvc::parallel {
@@ -44,8 +40,9 @@ ParallelResult solve_global_only(const CsrGraph& g,
   result.plan = launch.plan;
   const int grid = launch.grid;
 
-  SharedSearch shared(config.problem, config.k, greedy.size,
-                      std::move(greedy.cover), control);
+  const vc::SequentialConfig sc = sequential_config_of(config);
+  vc::SharedSearch shared(config.problem, config.k, greedy.size,
+                          std::move(greedy.cover), control);
 
   // Note: config.branch_state is ignored here. The strawman hands BOTH
   // children to the worklist at every branch — there is no local
@@ -71,8 +68,8 @@ ParallelResult solve_global_only(const CsrGraph& g,
     vc::ReduceWorkspace local_ws;  // per-block reduce scratch (cold path)
     vc::ReduceWorkspace& ws =
         workspace ? workspace->block(ctx.block_id()) : local_ws;
-    NodeBatch nodes(shared);           // batched node accounting (limits)
-    device::NodeCounter visited(ctx);  // batched Fig. 5 node counting
+    vc::BlockSearch search(g, sc, shared, ws, &ctx.activities(),
+                           &ctx.mutable_stats().nodes_visited);
     bool have_node = false;
 
     for (;;) {
@@ -102,17 +99,13 @@ ParallelResult solve_global_only(const CsrGraph& g,
       have_node = false;
 
       Vertex vmax = -1;
-      NodeOutcome out =
-          process_node(g, config, shared, nodes, visited, ctx, da, ws, vmax);
-      if (out == NodeOutcome::kAbort) {
+      const vc::NodeOutcome out = search.visit(da, vmax);
+      if (out == vc::NodeOutcome::kAbort ||
+          (out == vc::NodeOutcome::kFound && !mvc)) {
         worklist.signal_stop();
         return;
       }
-      if (out == NodeOutcome::kFound && !mvc) {
-        worklist.signal_stop();
-        return;
-      }
-      if (out != NodeOutcome::kBranch) continue;
+      if (out != vc::NodeOutcome::kBranch) continue;
 
       // Branch: the strawman hands BOTH children to the worklist rather
       // than keeping one. The vmax child goes second so that under spill

@@ -5,14 +5,10 @@
 #include <utility>
 
 #include "obs/trace.hpp"
-#include "parallel/node_visit.hpp"
-#include "parallel/shared_state.hpp"
-#include "util/check.hpp"
 #include "util/timer.hpp"
-#include "vc/branching.hpp"
 #include "vc/descent.hpp"
 #include "vc/greedy.hpp"
-#include "vc/reductions.hpp"
+#include "vc/search.hpp"
 #include "worklist/device_broker.hpp"
 #include "worklist/global_worklist.hpp"
 
@@ -47,8 +43,9 @@ ParallelResult solve_hybrid(const CsrGraph& g, const ParallelConfig& config,
   // so the grid size is exactly the resident-block count.
   const int grid = launch.grid;
 
-  SharedSearch shared(config.problem, config.k, greedy.size,
-                      std::move(greedy.cover), control);
+  const vc::SequentialConfig sc = sequential_config_of(config);
+  vc::SharedSearch shared(config.problem, config.k, greedy.size,
+                          std::move(greedy.cover), control);
 
   const auto threshold = static_cast<std::size_t>(
       config.worklist_threshold_frac *
@@ -63,14 +60,14 @@ ParallelResult solve_hybrid(const CsrGraph& g, const ParallelConfig& config,
 
   // Cross-device migration (steal tier 2): register this solve with the
   // hosting service's broker. A migrated node re-enters through
-  // drain_subtree — the same adopt/visit path a donated node takes — run
-  // against THIS solve's shared search, on whichever thread imports it.
+  // vc::search_subtree — the same visit a donated node gets — run against
+  // THIS solve's shared search, on whichever thread imports it.
   std::optional<worklist::DeviceBroker::Group> steal_group;
   if (env != nullptr && env->broker != nullptr)
     steal_group.emplace(*env->broker, env->device_id,
                         [&](vc::DegreeArray&& node, vc::ReduceWorkspace& ws) {
-                          drain_subtree(g, config, shared, std::move(node),
-                                        ws);
+                          vc::search_subtree(g, sc, shared, std::move(node),
+                                             ws);
                         });
   worklist::DeviceBroker::Group* migrate =
       steal_group.has_value() ? &*steal_group : nullptr;
@@ -83,8 +80,8 @@ ParallelResult solve_hybrid(const CsrGraph& g, const ParallelConfig& config,
         workspace ? workspace->block(ctx.block_id()) : local_ws;
     vc::Descent descent(g, config.branch_state, launch.depth_bound, ws,
                         &ctx.activities());
-    NodeBatch nodes(shared);           // batched node accounting (limits)
-    device::NodeCounter visited(ctx);  // batched Fig. 5 node counting
+    vc::BlockSearch search(g, sc, shared, ws, &ctx.activities(),
+                           &ctx.mutable_stats().nodes_visited);
     bool enter = false;  // true while da holds an unprocessed node
 
     for (;;) {
@@ -115,17 +112,13 @@ ParallelResult solve_hybrid(const CsrGraph& g, const ParallelConfig& config,
       enter = false;
 
       Vertex vmax = -1;
-      NodeOutcome out =
-          process_node(g, config, shared, nodes, visited, ctx, da, ws, vmax);
-      if (out == NodeOutcome::kAbort) {
+      const vc::NodeOutcome out = search.visit(da, vmax);
+      if (out == vc::NodeOutcome::kAbort ||
+          (out == vc::NodeOutcome::kFound && !mvc)) {
         worklist.signal_stop();
         return;
       }
-      if (out == NodeOutcome::kFound && !mvc) {
-        worklist.signal_stop();
-        return;
-      }
-      if (out != NodeOutcome::kBranch) continue;  // enter stays false: backtrack
+      if (out != vc::NodeOutcome::kBranch) continue;  // enter stays false
 
       // Branch (Fig. 4 lines 20-29): donate the neighbors child if a starved
       // remote device or the worklist wants it, otherwise defer it; then

@@ -2,14 +2,10 @@
 
 #include <utility>
 
-#include "parallel/node_visit.hpp"
-#include "parallel/shared_state.hpp"
-#include "util/check.hpp"
 #include "util/timer.hpp"
-#include "vc/branching.hpp"
 #include "vc/descent.hpp"
 #include "vc/greedy.hpp"
-#include "vc/reductions.hpp"
+#include "vc/search.hpp"
 
 namespace gvc::parallel {
 
@@ -43,8 +39,9 @@ ParallelResult solve_stack_only(const CsrGraph& g,
       config, /*pooled=*/true, g.num_vertices(), greedy.size);
   result.plan = launch.plan;
 
-  SharedSearch shared(config.problem, config.k, greedy.size,
-                      std::move(greedy.cover), control);
+  const vc::SequentialConfig sc = sequential_config_of(config);
+  vc::SharedSearch shared(config.problem, config.k, greedy.size,
+                          std::move(greedy.cover), control);
 
   // Scratch is keyed on the resident slot, not the block, so the pool
   // stays resident-sized however deep the start frontier is.
@@ -63,14 +60,13 @@ ParallelResult solve_stack_only(const CsrGraph& g,
         workspace ? workspace->block(ctx.slot_id()) : local_ws;
     vc::Descent descent(g, config.branch_state, launch.depth_bound, ws,
                         &ctx.activities());
-    descent.adopt(da);                 // root pickup
-    NodeBatch nodes(shared);           // batched node accounting (limits)
-    device::NodeCounter visited(ctx);  // batched Fig. 5 node counting
+    descent.adopt(da);  // root pickup
+    vc::BlockSearch search(g, sc, shared, ws, &ctx.activities(),
+                           &ctx.mutable_stats().nodes_visited);
     Vertex vmax = -1;
     for (int level = 0; level < config.start_depth; ++level) {
-      NodeOutcome out =
-          process_node(g, config, shared, nodes, visited, ctx, da, ws, vmax);
-      if (out != NodeOutcome::kBranch) return;  // sub-tree is empty
+      if (search.visit(da, vmax) != vc::NodeOutcome::kBranch)
+        return;  // sub-tree is empty
       if ((ctx.block_id() >> level) & 1) {
         ActivityScope scope(ctx.activities(), Activity::kRemoveNeighbors);
         da.remove_neighbors_into_solution(g, vmax);
@@ -82,17 +78,7 @@ ParallelResult solve_stack_only(const CsrGraph& g,
 
     // Phase 2 — depth-first traversal of the sub-tree. Nothing in it ever
     // leaves the block, so every neighbors child is deferred.
-    for (;;) {
-      if (!mvc && shared.pvc_found()) return;
-      NodeOutcome out =
-          process_node(g, config, shared, nodes, visited, ctx, da, ws, vmax);
-      if (out == NodeOutcome::kAbort) return;
-      if (out == NodeOutcome::kBranch) {
-        descent.branch(da, vmax);
-        continue;
-      }
-      if (!descent.next(da)) return;  // sub-tree exhausted
-    }
+    search.descend(descent, da);
   };
 
   device::VirtualDevice dev(config.device);

@@ -11,12 +11,11 @@
 #include <vector>
 
 #include "obs/trace.hpp"
-#include "parallel/node_visit.hpp"
-#include "parallel/shared_state.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 #include "vc/greedy.hpp"
 #include "vc/reductions.hpp"
+#include "vc/search.hpp"
 #include "worklist/device_broker.hpp"
 #include "worklist/steal_deque.hpp"
 
@@ -144,8 +143,9 @@ ParallelResult solve_work_stealing(const CsrGraph& g,
   const int depth_bound = launch.depth_bound;
   const int grid = launch.grid;
 
-  SharedSearch shared(config.problem, config.k, greedy.size,
-                      std::move(greedy.cover), control);
+  const vc::SequentialConfig sc = sequential_config_of(config);
+  vc::SharedSearch shared(config.problem, config.k, greedy.size,
+                          std::move(greedy.cover), control);
 
   const Vertex n = g.num_vertices();
   StealGroup group(n, depth_bound, grid);
@@ -165,8 +165,8 @@ ParallelResult solve_work_stealing(const CsrGraph& g,
   if (env != nullptr && env->broker != nullptr)
     steal_group.emplace(*env->broker, env->device_id,
                         [&](vc::DegreeArray&& node, vc::ReduceWorkspace& ws) {
-                          drain_subtree(g, config, shared, std::move(node),
-                                        ws);
+                          vc::search_subtree(g, sc, shared, std::move(node),
+                                             ws);
                         });
   worklist::DeviceBroker::Group* migrate =
       steal_group.has_value() ? &*steal_group : nullptr;
@@ -183,8 +183,8 @@ ParallelResult solve_work_stealing(const CsrGraph& g,
     vc::DegreeArray child;
     vc::ReduceWorkspace local_ws;  // per-block reduce scratch (cold path)
     vc::ReduceWorkspace& ws = workspace ? workspace->block(id) : local_ws;
-    NodeBatch nodes(shared);           // batched node accounting (limits)
-    device::NodeCounter visited(ctx);  // batched Fig. 5 node counting
+    vc::BlockSearch search(g, sc, shared, ws, &ctx.activities(),
+                           &ctx.mutable_stats().nodes_visited);
     bool get_new_node = true;
     std::uint64_t attempts = 0;
 
@@ -221,17 +221,13 @@ ParallelResult solve_work_stealing(const CsrGraph& g,
       }
 
       Vertex vmax = -1;
-      NodeOutcome out =
-          process_node(g, config, shared, nodes, visited, ctx, da, ws, vmax);
-      if (out == NodeOutcome::kAbort) {
+      const vc::NodeOutcome out = search.visit(da, vmax);
+      if (out == vc::NodeOutcome::kAbort ||
+          (out == vc::NodeOutcome::kFound && !mvc)) {
         group.signal_stop();
         break;
       }
-      if (out == NodeOutcome::kFound && !mvc) {
-        group.signal_stop();
-        break;
-      }
-      if (out != NodeOutcome::kBranch) {
+      if (out != vc::NodeOutcome::kBranch) {
         get_new_node = true;
         continue;
       }

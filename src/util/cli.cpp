@@ -27,6 +27,13 @@ Args::Args(int argc, const char* const* argv) {
 
 bool Args::has(const std::string& key) const { return kv_.count(key) > 0; }
 
+std::vector<std::string> Args::flags() const {
+  std::vector<std::string> names;
+  names.reserve(kv_.size());
+  for (const auto& [name, value] : kv_) names.push_back(name);
+  return names;
+}
+
 std::string Args::get(const std::string& key, const std::string& def) const {
   auto it = kv_.find(key);
   return it == kv_.end() ? def : it->second;

@@ -23,6 +23,9 @@ class Args {
   double get_double(const std::string& key, double def) const;
   bool get_bool(const std::string& key, bool def) const;
 
+  /// Every --name given, in name order (a repeated flag appears once).
+  std::vector<std::string> flags() const;
+
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program() const { return program_; }
 

@@ -3,9 +3,10 @@
 // The depth-first descent of one block (§III-C / §IV-E): how a block
 // carries search-tree state from a node to the next one it visits.
 //
-// Every depth-first loop — Sequential, StackOnly's sub-tree traversal,
-// Hybrid's block, and the migrated-node drain — is written once against
-// this class; BranchStateMode is decided here and nowhere else:
+// Every depth-first loop — vc::BlockSearch::descend (Sequential,
+// StackOnly's sub-tree traversal, the migrated-node drain) and Hybrid's
+// block — is written against this class; BranchStateMode is decided here
+// and nowhere else:
 //
 //   kCopy      — the paper's self-contained nodes (§IV-B). A deferred
 //                neighbors child is a full degree-array copy in a slot of a

@@ -1,8 +1,10 @@
 #pragma once
 
 // The Sequential solver of Fig. 1 — the single-CPU-thread baseline of §V-A.
-// Implemented with an explicit depth-first stack (equivalent to the paper's
-// recursion, but immune to host stack limits on deep instances).
+// It is one block of the shared search (vc/search.hpp) run from the root:
+// the same visit, stop checks and outcome the block solvers use, with a
+// vc::Descent in place of the paper's recursion (immune to host stack
+// limits on deep instances).
 
 #include "vc/branching.hpp"
 #include "vc/reductions.hpp"
@@ -10,6 +12,8 @@
 
 namespace gvc::vc {
 
+/// What the shared search reads (vc/search.hpp). The block solvers map
+/// their ParallelConfig to it once per solve (parallel::sequential_config_of).
 struct SequentialConfig {
   Problem problem = Problem::kMvc;
   int k = 0;  ///< PVC bound; ignored for MVC

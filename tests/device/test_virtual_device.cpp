@@ -57,32 +57,6 @@ TEST(VirtualDevice, NodeCountsAggregatePerSm) {
     EXPECT_DOUBLE_EQ(per_sm[static_cast<std::size_t>(s)], 2.0 * s + 16.0);
 }
 
-TEST(VirtualDevice, NodeCounterFlushesBatchedCountsOnBlockExit) {
-  VirtualDevice dev(DeviceSpec::host_scaled());
-  // Same per-block counts as NodeCountsAggregatePerSm, but via the batched
-  // counter: totals must be identical once the launch returns, because the
-  // counter's destructor flushes before the body exits.
-  auto stats = dev.launch(32, true, [&](BlockContext& ctx) {
-    NodeCounter counter(ctx);
-    for (int i = 0; i < ctx.block_id(); ++i) counter.tick();
-    EXPECT_EQ(ctx.nodes_visited(), 0u);  // nothing flushed mid-run
-  });
-  EXPECT_EQ(stats.total_nodes(), 31u * 32u / 2u);
-}
-
-TEST(VirtualDevice, NodeCounterExplicitFlushAndBulkCount) {
-  BlockContext ctx(0, 0);
-  NodeCounter counter(ctx);
-  counter.tick();
-  counter.tick();
-  counter.flush();
-  EXPECT_EQ(ctx.nodes_visited(), 2u);
-  counter.flush();  // idempotent when empty
-  EXPECT_EQ(ctx.nodes_visited(), 2u);
-  ctx.count_nodes(5);
-  EXPECT_EQ(ctx.nodes_visited(), 7u);
-}
-
 TEST(VirtualDevice, NormalizedLoadAveragesToOne) {
   VirtualDevice dev(DeviceSpec::host_scaled());
   auto stats = dev.launch(16, true, [&](BlockContext& ctx) {

@@ -162,6 +162,61 @@ TEST_P(AllMethodsTest, OptimumInvariantUnderBranchStrategy) {
   }
 }
 
+// Node counts add up under every stop: the search's total (tree_nodes) is
+// the sum of the blocks' counts, a node refused by the budget is counted
+// nowhere, and a stop a block sees before its first node admits none.
+class BlockMethodsTest : public ::testing::TestWithParam<Method> {
+ protected:
+  static const graph::CsrGraph& graph() {
+    static const graph::CsrGraph g =
+        graph::complement(graph::p_hat(40, 0.3, 0.9, 31));
+    return g;
+  }
+  static ParallelConfig config() {
+    ParallelConfig c;
+    c.grid_override = 4;
+    return c;
+  }
+  static void expect_at_most_one_node_per_block(const ParallelResult& r) {
+    for (const auto& b : r.launch.blocks)
+      EXPECT_LE(b.nodes_visited, 1u) << "block " << b.block_id;
+  }
+};
+INSTANTIATE_TEST_SUITE_P(Methods, BlockMethodsTest,
+                         ::testing::Values(Method::kStackOnly, Method::kHybrid,
+                                           Method::kGlobalOnly,
+                                           Method::kWorkStealing),
+                         [](const auto& info) {
+                           return method_name(info.param);
+                         });
+
+TEST_P(BlockMethodsTest, NodeBudgetCountsAddUp) {
+  vc::SolveControl control;
+  control.limits.max_tree_nodes = 5;
+  const ParallelResult r = solve(graph(), GetParam(), config(), &control);
+  EXPECT_EQ(r.outcome, vc::Outcome::kFeasible);
+  EXPECT_EQ(r.tree_nodes, 5u);
+  EXPECT_EQ(r.tree_nodes, r.launch.total_nodes());
+}
+
+TEST_P(BlockMethodsTest, PreCancelledCountsAddUp) {
+  vc::SolveControl control;
+  control.cancel();
+  const ParallelResult r = solve(graph(), GetParam(), config(), &control);
+  EXPECT_EQ(r.outcome, vc::Outcome::kCancelled);
+  EXPECT_EQ(r.tree_nodes, r.launch.total_nodes());
+  expect_at_most_one_node_per_block(r);
+}
+
+TEST_P(BlockMethodsTest, PassedDeadlineCountsAddUp) {
+  vc::SolveControl control;
+  control.set_deadline(vc::SolveControl::now_s() - 1.0);
+  const ParallelResult r = solve(graph(), GetParam(), config(), &control);
+  EXPECT_EQ(r.outcome, vc::Outcome::kDeadline);
+  EXPECT_EQ(r.tree_nodes, r.launch.total_nodes());
+  expect_at_most_one_node_per_block(r);
+}
+
 TEST(Solver, CheckSolvePlansLikeTheSolver) {
   // star(1000): the greedy cover is the hub, so the solver's stack is 3
   // degree arrays deep while a |V|-deep one fits no block. The check must

@@ -132,6 +132,8 @@ TEST(SolverFlags, AllFlagsLand) {
                              "--worklist-threshold", "0.25",
                              "--start-depth", "3"});
   ASSERT_TRUE(parse_solver_flags(args, &config));
+  // kSolverFlags declares exactly what parse_solver_flags reads.
+  EXPECT_TRUE(check_flags(args, {}, "usage: %s\n", /*solver_flags=*/true));
   EXPECT_EQ(config.problem, vc::Problem::kPvc);
   EXPECT_EQ(config.k, 5);
   EXPECT_EQ(config.branch, vc::BranchStrategy::kMinDegree);
@@ -150,6 +152,14 @@ TEST(SolverFlags, RejectsUnknownEnumNames) {
   EXPECT_FALSE(parse_solver_flags(args_of({"--branch", "widest"}), &config));
   EXPECT_FALSE(
       parse_solver_flags(args_of({"--branch-state", "cow"}), &config));
+}
+
+TEST(CheckFlags, RejectsUndeclaredFlags) {
+  const auto args = args_of({"g.gvc", "--quiet", "--grid", "4"});
+  EXPECT_TRUE(check_flags(args, {"quiet"}, "usage: %s\n", true));
+  EXPECT_FALSE(check_flags(args, {"quiet"}, "usage: %s\n"));  // --grid
+  EXPECT_FALSE(check_flags(args_of({"--metod", "hybrid"}), {"method"},
+                           "usage: %s\n", true));
 }
 
 // ---------------------------------------------------------------------------

@@ -35,6 +35,12 @@ TEST(Cli, BoolSpellings) {
   EXPECT_FALSE(a.get_bool("z", true));
 }
 
+TEST(Cli, FlagsListsEveryNameOnce) {
+  auto a = make({"prog", "g.gvc", "--z=1", "--a", "x", "--bare", "--z=2"});
+  EXPECT_EQ(a.flags(), (std::vector<std::string>{"a", "bare", "z"}));
+  EXPECT_TRUE(make({"prog", "g.gvc"}).flags().empty());
+}
+
 TEST(Cli, DefaultsWhenAbsent) {
   auto a = make({"prog"});
   EXPECT_FALSE(a.has("missing"));

@@ -1,13 +1,14 @@
-#include "parallel/shared_state.hpp"
+#include "vc/search.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "graph/generators.hpp"
 #include "vc/greedy.hpp"
 
-namespace gvc::parallel {
+namespace gvc::vc {
 namespace {
 
 vc::DegreeArray state_with_cover(const graph::CsrGraph& g, int removals) {
@@ -105,15 +106,31 @@ TEST(SharedSearch, NodeLimitLatchesAbort) {
   auto g = graph::complete(4);
   vc::SolveControl control = node_budget(3);
   SharedSearch s = make_mvc(g, &control);
-  EXPECT_TRUE(s.register_node());
-  EXPECT_TRUE(s.register_node());
-  EXPECT_TRUE(s.register_node());
-  EXPECT_FALSE(s.register_node());  // 4th exceeds
+  EXPECT_TRUE(s.claim_node());
+  EXPECT_TRUE(s.claim_node());
+  EXPECT_TRUE(s.claim_node());
+  EXPECT_FALSE(s.claim_node());  // 4th exceeds
   EXPECT_TRUE(s.aborted());
-  EXPECT_FALSE(s.register_node());  // stays aborted
+  EXPECT_FALSE(s.claim_node());  // stays aborted
+  EXPECT_EQ(s.nodes(), 3u);      // refused claims are not counted
   EXPECT_EQ(s.stop_cause(), vc::StopCause::kNodeLimit);
   EXPECT_TRUE(s.harvest().limit_hit());
   EXPECT_EQ(s.harvest().outcome, vc::Outcome::kFeasible);  // MVC has cover
+}
+
+TEST(SharedSearch, ClaimsNeverExceedTheBudgetAcrossThreads) {
+  auto g = graph::complete(4);
+  vc::SolveControl control = node_budget(1000);
+  SharedSearch s = make_mvc(g, &control);
+  std::atomic<std::uint64_t> granted{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t)
+    threads.emplace_back([&] {
+      while (s.claim_node()) granted.fetch_add(1, std::memory_order_relaxed);
+    });
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(granted.load(), 1000u);
+  EXPECT_EQ(s.nodes(), 1000u);
 }
 
 TEST(SharedSearch, NodeCountAccumulatesAcrossThreads) {
@@ -122,7 +139,7 @@ TEST(SharedSearch, NodeCountAccumulatesAcrossThreads) {
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t)
     threads.emplace_back([&] {
-      for (int i = 0; i < 1000; ++i) s.register_node();
+      for (int i = 0; i < 1000; ++i) s.add_nodes(1);
     });
   for (auto& th : threads) th.join();
   EXPECT_EQ(s.nodes(), 4000u);
@@ -133,53 +150,98 @@ TEST(NodeBatch, FlushesEveryNAndOnDestruction) {
   auto g = graph::complete(4);
   SharedSearch s = make_mvc(g);
   {
-    NodeBatch batch(s, /*flush_every=*/8);
+    NodeBatch batch(s, nullptr, /*flush_every=*/8);
     for (int i = 0; i < 20; ++i) EXPECT_TRUE(batch.register_node());
     EXPECT_EQ(s.nodes(), 16u);  // two full flushes; 4 still local
+    EXPECT_EQ(batch.visited(), 20u);
   }
   EXPECT_EQ(s.nodes(), 20u);  // destructor flushed the remainder
+}
+
+TEST(NodeBatch, HandsItsTotalToTheSinkOnDestruction) {
+  auto g = graph::complete(4);
+  SharedSearch s = make_mvc(g);
+  std::uint64_t block_nodes = 5;  // the sink accumulates
+  {
+    NodeBatch batch(s, &block_nodes);
+    for (int i = 0; i < 40; ++i) batch.register_node();
+    EXPECT_EQ(block_nodes, 5u);  // nothing handed over mid-run
+  }
+  EXPECT_EQ(block_nodes, 45u);
+  EXPECT_EQ(s.nodes(), 40u);
 }
 
 TEST(NodeBatch, ExactWhenNodeBudgetSet) {
   auto g = graph::complete(4);
   vc::SolveControl control = node_budget(3);
   SharedSearch s = make_mvc(g, &control);
-  NodeBatch batch(s);
-  EXPECT_TRUE(batch.register_node());
-  EXPECT_TRUE(batch.register_node());
-  EXPECT_TRUE(batch.register_node());
-  EXPECT_FALSE(batch.register_node());  // 4th exceeds, same node as unbatched
-  EXPECT_TRUE(s.aborted());
-  EXPECT_EQ(s.nodes(), 4u);
+  std::uint64_t block_nodes = 0;
+  {
+    NodeBatch batch(s, &block_nodes);
+    EXPECT_TRUE(batch.register_node());
+    EXPECT_TRUE(batch.register_node());
+    EXPECT_TRUE(batch.register_node());
+    EXPECT_FALSE(batch.register_node());  // 4th exceeds, same node as unbatched
+    EXPECT_TRUE(s.aborted());
+    EXPECT_EQ(s.nodes(), 3u);  // claimed per node, the refused one excluded
+  }
+  EXPECT_EQ(block_nodes, 3u);
+  EXPECT_EQ(s.nodes(), 3u);
 }
 
-TEST(NodeBatch, TimeLimitFiresBetweenFlushes) {
+TEST(NodeBatch, TimeLimitIsReadOnTheFirstNode) {
   auto g = graph::complete(4);
   vc::Limits limits;
   limits.time_limit_s = 1e-9;  // already expired; no node budget set
   vc::SolveControl control{limits};
   SharedSearch s = make_mvc(g, &control);
-  NodeBatch batch(s, /*flush_every=*/1u << 20);  // flushes effectively never
-  // The periodic clock check must latch abort well before a flush.
-  bool aborted = false;
-  for (std::uint32_t i = 0; i < 2 * NodeBatch::kTimeCheckEvery; ++i)
-    if (!batch.register_node()) {
-      aborted = true;
-      break;
-    }
-  EXPECT_TRUE(aborted);
-  EXPECT_TRUE(s.aborted());
+  NodeBatch batch(s, nullptr, /*flush_every=*/1u << 20);  // never flushes
+  EXPECT_FALSE(batch.register_node());
+  EXPECT_EQ(batch.visited(), 0u);
+  EXPECT_EQ(s.stop_cause(), vc::StopCause::kTimeLimit);
+}
+
+TEST(NodeBatch, ReadsTheClockEveryFewNodes) {
+  auto g = graph::complete(4);
+  vc::SolveControl control;
+  SharedSearch s = make_mvc(g, &control);
+  NodeBatch batch(s, nullptr, /*flush_every=*/1u << 20);  // never flushes
+  EXPECT_TRUE(batch.register_node());
+  control.set_deadline(vc::SolveControl::now_s() - 1.0);
+  // The deadline needs a clock read, due within kClockEvery nodes.
+  std::uint32_t admitted = 0;
+  while (batch.register_node()) ++admitted;
+  EXPECT_LT(admitted, NodeBatch::kClockEvery);
+  EXPECT_EQ(s.stop_cause(), vc::StopCause::kDeadline);
+}
+
+TEST(NodeBatch, CancelStopsTheVeryNextNode) {
+  auto g = graph::complete(4);
+  vc::SolveControl control;
+  SharedSearch s = make_mvc(g, &control);
+  {
+    NodeBatch batch(s);
+    EXPECT_TRUE(batch.register_node());
+    EXPECT_TRUE(batch.register_node());
+    control.cancel();
+    EXPECT_FALSE(batch.register_node());
+    EXPECT_EQ(batch.visited(), 2u);
+  }
+  EXPECT_EQ(s.nodes(), 2u);
+  EXPECT_EQ(s.harvest().tree_nodes, 2u);
+  EXPECT_EQ(s.harvest().outcome, vc::Outcome::kCancelled);
 }
 
 TEST(NodeBatch, SeesAbortLatchedElsewhere) {
   auto g = graph::complete(4);
-  vc::SolveControl control = node_budget(5);
+  vc::SolveControl control = node_budget(1);
   SharedSearch s = make_mvc(g, &control);
-  for (int i = 0; i < 6; ++i) s.register_node();  // latches abort
-  ASSERT_TRUE(s.aborted());
-  SharedSearch s2 = make_mvc(g);  // unlimited: batch path
-  NodeBatch batch(s2, 64);
-  EXPECT_TRUE(batch.register_node());  // local count, not aborted
+  NodeBatch first(s);
+  EXPECT_TRUE(first.register_node());
+  EXPECT_FALSE(first.register_node());  // latches abort
+  NodeBatch other(s);
+  EXPECT_FALSE(other.register_node());
+  EXPECT_EQ(other.visited(), 0u);
 }
 
 TEST(NodeBatch, CountsExactlyAcrossThreads) {
@@ -196,15 +258,6 @@ TEST(NodeBatch, CountsExactlyAcrossThreads) {
   EXPECT_FALSE(s.aborted());
 }
 
-TEST(SharedSearch, RegisterNodesBulkRespectsNodeLimit) {
-  auto g = graph::complete(4);
-  vc::SolveControl control = node_budget(10);
-  SharedSearch s = make_mvc(g, &control);
-  EXPECT_TRUE(s.register_nodes(10));
-  EXPECT_FALSE(s.register_nodes(1));
-  EXPECT_TRUE(s.aborted());
-}
-
 TEST(SharedSearchDeathTest, RejectsInconsistentInitialCover) {
   EXPECT_DEATH(SharedSearch(vc::Problem::kMvc, 0, 3, {0, 1}, nullptr),
                "GVC_CHECK");
@@ -215,37 +268,28 @@ TEST(SharedSearchDeathTest, PvcRequiresPositiveK) {
                "GVC_CHECK");
 }
 
-TEST(SharedSearch, CancelLatchesThroughRegisterNode) {
+TEST(SharedSearch, CancelLatchesThroughPollStop) {
   auto g = graph::complete(4);
   vc::SolveControl control;
   SharedSearch s = make_mvc(g, &control);
-  EXPECT_TRUE(s.register_node());
+  EXPECT_TRUE(s.poll_stop(/*read_clock=*/false));
   control.cancel();
-  EXPECT_FALSE(s.register_node());
+  EXPECT_FALSE(s.poll_stop(/*read_clock=*/false));
   EXPECT_TRUE(s.aborted());
   EXPECT_EQ(s.stop_cause(), vc::StopCause::kCancelled);
   EXPECT_EQ(s.harvest().outcome, vc::Outcome::kCancelled);
 }
 
-TEST(SharedSearch, DeadlineLatchesThroughCheckTimeLimit) {
+TEST(SharedSearch, DeadlineLatchesOnlyWithTheClock) {
   auto g = graph::complete(4);
   vc::SolveControl control;
   SharedSearch s = make_mvc(g, &control);
-  EXPECT_TRUE(s.check_time_limit());
+  EXPECT_TRUE(s.poll_stop(/*read_clock=*/true));
   control.set_deadline(vc::SolveControl::now_s() - 1.0);
-  EXPECT_FALSE(s.check_time_limit());
+  EXPECT_TRUE(s.poll_stop(/*read_clock=*/false));
+  EXPECT_FALSE(s.poll_stop(/*read_clock=*/true));
   EXPECT_EQ(s.stop_cause(), vc::StopCause::kDeadline);
   EXPECT_EQ(s.harvest().outcome, vc::Outcome::kDeadline);
-}
-
-TEST(SharedSearch, DeadlineLatchesThroughBulkRegister) {
-  auto g = graph::complete(4);
-  vc::SolveControl control;
-  SharedSearch s = make_mvc(g, &control);
-  EXPECT_TRUE(s.register_nodes(8));
-  control.set_deadline(vc::SolveControl::now_s() - 1.0);
-  EXPECT_FALSE(s.register_nodes(8));
-  EXPECT_EQ(s.stop_cause(), vc::StopCause::kDeadline);
 }
 
 TEST(SharedSearch, PvcWitnessBeatsLaterAbort) {
@@ -256,8 +300,8 @@ TEST(SharedSearch, PvcWitnessBeatsLaterAbort) {
   SharedSearch s(vc::Problem::kPvc, 9, vc::greedy_mvc(g).size,
                  vc::greedy_mvc(g).cover, &control);
   s.set_pvc_found(state_with_cover(g, 7));
-  s.register_node();
-  EXPECT_FALSE(s.register_node());  // budget exceeded, abort latched
+  s.claim_node();
+  EXPECT_FALSE(s.claim_node());  // budget exceeded, abort latched
   auto r = s.harvest();
   EXPECT_EQ(r.outcome, vc::Outcome::kOptimal);
   EXPECT_EQ(r.best_size, 7);
@@ -267,12 +311,12 @@ TEST(SharedSearch, FirstStopCauseWins) {
   auto g = graph::complete(4);
   vc::SolveControl control = node_budget(1);
   SharedSearch s = make_mvc(g, &control);
-  s.register_node();
-  EXPECT_FALSE(s.register_node());  // node limit latches first
-  control.cancel();                 // later cancel cannot overwrite
-  EXPECT_FALSE(s.register_node());
+  s.claim_node();
+  EXPECT_FALSE(s.claim_node());  // node limit latches first
+  control.cancel();              // later cancel cannot overwrite
+  EXPECT_FALSE(s.poll_stop(/*read_clock=*/true));
   EXPECT_EQ(s.stop_cause(), vc::StopCause::kNodeLimit);
 }
 
 }  // namespace
-}  // namespace gvc::parallel
+}  // namespace gvc::vc

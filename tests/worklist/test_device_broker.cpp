@@ -29,7 +29,8 @@ const graph::CsrGraph& g() {
 vc::DegreeArray node() { return vc::DegreeArray(g()); }
 
 /// A runner that just counts its invocations (the real runner re-enters
-/// the node through drain_subtree; settlement is what's under test here).
+/// the node through vc::search_subtree; settlement is what's under test
+/// here).
 DeviceBroker::Group::Runner counting_runner(std::atomic<int>& runs) {
   return [&runs](vc::DegreeArray&&, vc::ReduceWorkspace&) {
     runs.fetch_add(1);

@@ -7,11 +7,15 @@
 // failures return std::nullopt / false (after printing a usage line where
 // noted) instead of aborting — tools exit 64, daemons refuse the request.
 
+#include <algorithm>
 #include <cstdio>
+#include <initializer_list>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "graph/csr.hpp"
 #include "graph/io.hpp"
@@ -116,6 +120,33 @@ inline std::optional<std::size_t> try_parse_bytes(const std::string& s) {
 // ---------------------------------------------------------------------------
 // Solver-shape flags, shared by every tool that builds a ParallelConfig.
 // ---------------------------------------------------------------------------
+
+/// The flags parse_solver_flags reads.
+inline constexpr std::string_view kSolverFlags[] = {
+    "problem", "k", "branch", "branch-state", "seed", "grid", "block-size",
+    "worklist-capacity", "worklist-threshold", "start-depth"};
+
+/// Every tool declares the flags it reads and calls this first: a flag it
+/// does not declare (a retired or misspelled option) is an error, not a
+/// silent default. `known` lists the tool's own flags; `solver_flags` adds
+/// kSolverFlags for tools that call parse_solver_flags. On an undeclared
+/// flag, prints it and the tool's usage line (`usage`, a format with one %s
+/// for the program name) and returns false; the tool then exits 64.
+inline bool check_flags(const util::Args& args,
+                        std::initializer_list<std::string_view> known,
+                        const char* usage, bool solver_flags = false) {
+  for (const std::string& flag : args.flags()) {
+    const auto is_flag = [&](std::string_view name) { return name == flag; };
+    if (std::any_of(known.begin(), known.end(), is_flag)) continue;
+    if (solver_flags && std::any_of(std::begin(kSolverFlags),
+                                    std::end(kSolverFlags), is_flag))
+      continue;
+    std::fprintf(stderr, "unknown flag --%s\n", flag.c_str());
+    std::fprintf(stderr, usage, args.program().c_str());
+    return false;
+  }
+  return true;
+}
 
 /// Parses --method (default `def`); prints the usage line and returns
 /// std::nullopt on unknown names.

@@ -168,18 +168,26 @@ int run_deadline_test(net::Client& client, net::SolveRequestMsg base,
   return pass ? 0 : 1;
 }
 
+constexpr char kUsage[] =
+    "usage: %s [SPECFILE] --connect HOST:PORT [options] (see the header of "
+    "tools/gvc_client.cpp)\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
   util::Args args(argc, argv);
 
+  if (!tools::check_flags(
+          args,
+          {"connect", "scale", "method", "time-limit", "deadline-ms", "jobs",
+           "distinct", "upload", "cancel-test", "deadline-test",
+           "cancel-after-ms", "quiet", "stats", "metrics-out", "shutdown"},
+          kUsage, /*solver_flags=*/true))
+    return 64;
   const std::optional<tools::HostPort> addr =
       tools::try_parse_host_port(args.get("connect", ""));
   if (!addr.has_value() || addr->port == 0) {
-    std::fprintf(stderr,
-                 "usage: %s [SPECFILE] --connect HOST:PORT [options] "
-                 "(see the header of tools/gvc_client.cpp)\n",
-                 args.program().c_str());
+    std::fprintf(stderr, kUsage, args.program().c_str());
     return 64;
   }
   const std::optional<harness::Scale> scale =

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 
+#include "cli_common.hpp"
 #include "graph/io.hpp"
 #include "graph/stats.hpp"
 #include "harness/catalog.hpp"
@@ -19,10 +20,23 @@
 #include "util/cli.hpp"
 #include "util/log.hpp"
 
+namespace {
+
+constexpr char kUsage[] =
+    "usage: %s --family F --out PATH [params] | --instance NAME --out PATH "
+    "[--scale S] | --list\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace gvc;
   util::Args args(argc, argv);
 
+  if (!tools::check_flags(args,
+                          {"list", "out", "family", "instance", "scale", "n",
+                           "n2", "p", "p2", "m", "edges", "seed", "complement"},
+                          kUsage))
+    return 64;
   if (args.get_bool("list", false)) {
     std::printf("families (--family):\n");
     for (const auto& f : harness::family_catalog())
@@ -36,10 +50,7 @@ int main(int argc, char** argv) {
   }
 
   if (!args.has("out") || (!args.has("family") && !args.has("instance"))) {
-    std::fprintf(stderr,
-                 "usage: %s --family F --out PATH [params] | "
-                 "--instance NAME --out PATH [--scale S] | --list\n",
-                 args.program().c_str());
+    std::fprintf(stderr, kUsage, args.program().c_str());
     return 64;
   }
 

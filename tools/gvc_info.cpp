@@ -19,14 +19,20 @@
 #include "vc/greedy.hpp"
 #include "vc/kernelization.hpp"
 
+namespace {
+
+constexpr char kUsage[] = "usage: %s GRAPH [GRAPH...] [--bounds]\n";
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace gvc;
   util::Args args(argc, argv);
   graph::set_max_header_vertices(tools::kToolMaxHeaderVertices);
 
+  if (!tools::check_flags(args, {"bounds"}, kUsage)) return 64;
   if (args.positional().empty()) {
-    std::fprintf(stderr, "usage: %s GRAPH [GRAPH...] [--bounds]\n",
-                 args.program().c_str());
+    std::fprintf(stderr, kUsage, args.program().c_str());
     return 64;
   }
 

@@ -132,11 +132,23 @@ void on_signal(int) {
   if (g_interrupts > 1) std::_Exit(130);
 }
 
+constexpr char kUsage[] =
+    "usage: %s [SPECFILE] [options] (see the header of tools/gvc_serve.cpp)\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
   util::Args args(argc, argv);
 
+  if (!tools::check_flags(
+          args,
+          {"scale", "time-limit", "deadline-ms", "cancel-after-ms",
+           "progress-every", "trace-out", "trace-capacity", "trace-sample",
+           "metrics-out", "metrics-text", "workers", "devices", "steal-tiers",
+           "queue-capacity", "reject", "cache-capacity", "no-partition",
+           "min-cache-seconds", "jobs", "distinct"},
+          kUsage, /*solver_flags=*/true))
+    return 64;
   const std::optional<harness::Scale> scale =
       harness::try_parse_scale(args.get("scale", "smoke"));
   if (!scale.has_value()) {

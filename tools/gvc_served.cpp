@@ -65,11 +65,24 @@ void on_signal(int) {
   if (g_server != nullptr) g_server->begin_shutdown();
 }
 
+constexpr char kUsage[] =
+    "usage: %s [--listen HOST:PORT] [options] (see the header of "
+    "tools/gvc_served.cpp)\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
   util::Args args(argc, argv);
 
+  if (!tools::check_flags(
+          args,
+          {"listen", "scale", "max-frame", "max-write-queue",
+           "max-graph-bytes", "max-graph-bytes-total", "workers",
+           "queue-capacity", "cache-capacity", "min-cache-seconds",
+           "no-partition", "allow-remote-shutdown", "drain-timeout",
+           "metrics-out", "metrics-text"},
+          kUsage))
+    return 64;
   const std::optional<tools::HostPort> listen =
       tools::try_parse_host_port(args.get("listen", "127.0.0.1:0"));
   if (!listen.has_value()) {

@@ -158,6 +158,10 @@ int run_corpus(util::Args& args, const parallel::ParallelConfig& config,
   return incomplete > 0 ? 2 : 0;
 }
 
+constexpr char kUsage[] =
+    "usage: %s GRAPH [--method hybrid] [--problem mvc] ...  (see the header "
+    "of tools/gvc_solve.cpp)\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -165,10 +169,14 @@ int main(int argc, char** argv) {
   util::Args args(argc, argv);
   graph::set_max_header_vertices(tools::kToolMaxHeaderVertices);
 
+  if (!tools::check_flags(args,
+                          {"method", "time-limit", "node-limit", "deadline-ms",
+                           "kernelize", "solution", "quiet", "corpus",
+                           "corpus-format", "workers", "chunk"},
+                          kUsage, /*solver_flags=*/true))
+    return 64;
   if (args.positional().empty() && !args.has("corpus")) {
-    std::fprintf(stderr, "usage: %s GRAPH [--method hybrid] [--problem mvc] "
-                         "...  (see the header of tools/gvc_solve.cpp)\n",
-                 args.program().c_str());
+    std::fprintf(stderr, kUsage, args.program().c_str());
     return 64;
   }
   const bool quiet = args.get_bool("quiet", false);

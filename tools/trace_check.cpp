@@ -263,6 +263,10 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--quiet") {
       quiet = true;
+    } else if (arg.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
+      std::fprintf(stderr, "usage: trace_check FILE [--quiet]\n");
+      return 64;
     } else if (path.empty()) {
       path = arg;
     } else {
