@@ -9,10 +9,20 @@
 //   --cell-seconds S              per-cell time budget — the analogue of the
 //                                 paper's ">2 hrs" cut-off
 //   --csv PATH                    mirror the table into a CSV file
+//   --worklist-capacity N, --worklist-threshold F, --start-depth D
+//                                 the Runner's solver shape
+//
+// plus the extra flags a bench declares to make_env. Any other flag (a typo
+// such as --scael) prints the usage line and exits 64, as the tools do.
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "harness/catalog.hpp"
 #include "harness/runner.hpp"
@@ -44,8 +54,35 @@ inline double default_cell_seconds(harness::Scale scale) {
   return 5.0;
 }
 
-inline BenchEnv make_env(int argc, char** argv) {
+/// The flags make_env reads.
+inline constexpr std::string_view kBenchFlags[] = {
+    "scale", "cell-seconds", "worklist-capacity", "worklist-threshold",
+    "start-depth", "csv"};
+
+/// Parses the shared bench flags. `extra_flags` declares the flags the
+/// bench reads itself; any other flag exits 64 with the usage line.
+inline BenchEnv make_env(int argc, char** argv,
+                         std::initializer_list<std::string_view> extra_flags =
+                             {}) {
   util::Args args(argc, argv);
+  for (const std::string& flag : args.flags()) {
+    const auto is_flag = [&](std::string_view name) { return name == flag; };
+    if (std::any_of(std::begin(kBenchFlags), std::end(kBenchFlags),
+                    is_flag) ||
+        std::any_of(extra_flags.begin(), extra_flags.end(), is_flag))
+      continue;
+    std::fprintf(stderr, "unknown flag --%s\n", flag.c_str());
+    std::fprintf(stderr,
+                 "usage: %s [--scale smoke|default|large] [--cell-seconds S] "
+                 "[--csv PATH] [--worklist-capacity N] "
+                 "[--worklist-threshold F] [--start-depth D]",
+                 args.program().c_str());
+    for (std::string_view extra : extra_flags)
+      std::fprintf(stderr, " [--%.*s ...]", static_cast<int>(extra.size()),
+                   extra.data());
+    std::fprintf(stderr, "\n");
+    std::exit(64);
+  }
   BenchEnv env;
   env.scale = harness::parse_scale(args.get("scale", "smoke"));
   env.catalog = harness::paper_catalog(env.scale);

@@ -7,7 +7,15 @@
 // Per-block activity time is normalized within each block and averaged over
 // blocks, exactly as the paper measures with SM clocks.
 //
-//   ./fig6_breakdown [--scale smoke|default|large]
+// Waits (worklist remove, terminate) are timed on every occurrence. Node
+// work is timed on every 16th node a block visits, starting with its first,
+// and when the block exits the sample is scaled up to the block's node time
+// (util::ActivityAccumulator::settle), so a block's total stays inside its
+// elapsed time. Reading the clock around every reduce and branch step would
+// cost more than a cheap node's work.
+//
+//   ./fig6_breakdown [--scale smoke|default|large] [--cell-seconds S]
+//                    [--csv PATH]
 
 #include <cstdio>
 

@@ -14,9 +14,12 @@
 //   2. Activity clock cost. An enabled util::ActivityScope (two reads of
 //      the activity clock plus one accumulator add), in ns/scope, against
 //      one util::thread_cpu_ns() read in the same run. Every reduce sweep
-//      and branch step opens a scope, so the scope must stay cheaper than a
-//      single read of the thread CPU clock (a syscall on Linux) — an in-run
-//      ratio, robust on noisy runners.
+//      and branch step opens a scope on a sampled node, so the scope must
+//      stay cheaper than a single read of the thread CPU clock (a syscall on
+//      Linux) — an in-run ratio, robust on noisy runners. Also an
+//      ActivityScope on a closed sample gate, the cost every unsampled node
+//      pays per scope: one load and a branch, held to the disabled-hook
+//      budget.
 //
 //   3. Solve throughput. The same Hybrid solve on a catalog instance,
 //      repeated for --reps wall-clock runs, in three modes: hooks off (no
@@ -32,9 +35,9 @@
 //
 // --out writes a machine-readable summary (BENCH_PR7.json at the repo root
 // is a committed capture, taken before the activity clock rows existed).
-// Exit 1 if the disabled-path hook cost exceeds --max-disabled-ns (0
-// disables that gate), or if an ActivityScope costs as much as one
-// thread_cpu_ns() read.
+// Exit 1 if the disabled-path hook cost or the closed-gate ActivityScope
+// cost exceeds --max-disabled-ns (0 disables those gates), or if an
+// ActivityScope costs as much as one thread_cpu_ns() read.
 
 #include <cstdint>
 #include <cstdio>
@@ -130,11 +133,26 @@ int main(int argc, char** argv) {
   const double cpu_read_ns = hook_ns(clock_iters, [&](std::uint64_t) {
     clock_sink = clock_sink + util::thread_cpu_ns();
   });
+  // A closed gate: the second node of a block is not sampled. The
+  // accumulator is reached through a volatile pointer, as the solver
+  // reaches it through BlockSearch's, so the gate load stays in the loop.
+  util::ActivityAccumulator closed;
+  closed.begin_node();
+  closed.begin_node();
+  GVC_CHECK(!closed.gate_open());
+  util::ActivityAccumulator* volatile closed_acc = &closed;
+  const double closed_scope_ns = hook_ns(hook_iters, [&](std::uint64_t) {
+    util::ActivityScope scope(*closed_acc, util::Activity::kFindMaxDegree);
+  });
+  GVC_CHECK(closed.total_ns() == 0);
   std::printf("activity clock: ActivityScope %.1f ns/scope, one "
               "thread_cpu_ns() read %.1f ns  (%llu iters, %.3f s charged)\n",
               scope_ns, cpu_read_ns,
               static_cast<unsigned long long>(clock_iters),
               static_cast<double>(acc.total_ns()) * 1e-9);
+  std::printf("activity clock: ActivityScope on a closed gate %.3f ns/scope  "
+              "(%llu iters)\n",
+              closed_scope_ns, static_cast<unsigned long long>(hook_iters));
 
   // ---- 3: solve throughput under the three modes ---------------------------
   const std::string inst_name = args.get("instance", "p_hat_300_1");
@@ -182,6 +200,7 @@ int main(int argc, char** argv) {
        << "  \"trace_instant_disabled_ns\": " << instant_off_ns << ",\n"
        << "  \"counter_add_ns\": " << counter_ns << ",\n"
        << "  \"activity_scope_ns\": " << scope_ns << ",\n"
+       << "  \"activity_scope_closed_ns\": " << closed_scope_ns << ",\n"
        << "  \"thread_cpu_read_ns\": " << cpu_read_ns << ",\n"
        << "  \"modes\": {\n";
     for (int i = 0; i < 3; ++i)
@@ -200,6 +219,14 @@ int main(int argc, char** argv) {
                  "(budget %.1f ns) — the disabled path must stay one "
                  "relaxed load\n",
                  instant_off_ns, max_disabled_ns);
+    return 1;
+  }
+  if (max_disabled_ns > 0.0 && closed_scope_ns > max_disabled_ns) {
+    std::fprintf(stderr,
+                 "FAIL: an ActivityScope on a closed gate costs %.3f ns "
+                 "(budget %.1f ns) — an unsampled node must not read the "
+                 "clock\n",
+                 closed_scope_ns, max_disabled_ns);
     return 1;
   }
   if (scope_ns >= cpu_read_ns) {

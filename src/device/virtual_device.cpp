@@ -91,9 +91,14 @@ LaunchStats VirtualDevice::launch(
 
   auto run_block = [&](int block_id, int sm_id, int slot_id) {
     BlockContext ctx(block_id, sm_id, slot_id);
+    // The wall window encloses every activity charge of the block; settle()
+    // scales the sampled node charges within it.
+    const std::uint64_t wall_start = util::now_ns();
     std::uint64_t start = util::thread_cpu_ns();
     body(ctx);
     ctx.mutable_stats().cpu_ns = util::thread_cpu_ns() - start;
+    ctx.mutable_stats().activities =
+        ctx.activities().settle(wall_start, util::now_ns());
     stats.blocks[static_cast<std::size_t>(block_id)] = ctx.mutable_stats();
   };
 

@@ -33,9 +33,10 @@ struct BlockStats {
   /// CPU nanoseconds the block's body consumed (util::thread_cpu_ns, the
   /// block makespan clock): the block's share of its SM's cycles,
   /// independent of host scheduling. `activities` is charged on the
-  /// monotonic clock instead, so the two are not comparable.
+  /// monotonic clock instead, so the two are not comparable; they are the
+  /// block's settled charges (sampled node charges scaled to its node time).
   std::uint64_t cpu_ns = 0;
-  util::ActivityAccumulator activities;
+  util::ActivityTotals activities;
 };
 
 /// Handed to the block body; the block's window onto its instrumentation.
@@ -67,13 +68,15 @@ class BlockContext {
   std::uint64_t nodes_visited() const { return stats_.nodes_visited; }
 
   /// Per-activity cycle accounting (wrap work in util::ActivityScope).
-  util::ActivityAccumulator& activities() { return stats_.activities; }
+  /// Settled into BlockStats::activities when the block exits.
+  util::ActivityAccumulator& activities() { return activities_; }
 
   BlockStats& mutable_stats() { return stats_; }
 
  private:
   int slot_id_;
   BlockStats stats_;
+  util::ActivityAccumulator activities_;
 };
 
 /// Aggregated results of one grid launch.

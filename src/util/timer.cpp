@@ -29,14 +29,58 @@ const char* activity_name(Activity a) {
   return "?";
 }
 
+ActivityTotals ActivityAccumulator::settle(std::uint64_t start_ns,
+                                           std::uint64_t end_ns) const {
+  ActivityTotals totals;
+  totals.ns_ = ns_;
+  if (nodes_ == 0) return totals;
+  std::uint64_t exact = 0, sampled = 0;
+  for (int i = 0; i < kNumActivities; ++i) {
+    exact += ns_[i];
+    sampled += sampled_[i];
+  }
+  // Node time: every node's window, from the first node to the exit,
+  // without the waits inside it; likewise for the sampled windows.
+  const std::uint64_t window_ns =
+      window_ns_ + (gate_open_ ? end_ns - window_start_ : 0);
+  const double node_ns = static_cast<double>(end_ns - first_node_ns_) -
+                         static_cast<double>(node_waits_);
+  const double sampled_ns =
+      static_cast<double>(window_ns) - static_cast<double>(window_waits_);
+  double scale =
+      node_ns > 0.0 && sampled_ns > 0.0 ? node_ns / sampled_ns : 0.0;
+  // Scopes lie inside the windows, so this only binds on charges that did
+  // not come from a scope.
+  const std::uint64_t elapsed = end_ns - start_ns;
+  const double budget =
+      elapsed > exact ? static_cast<double>(elapsed - exact) : 0.0;
+  const double scaled = static_cast<double>(sampled) * scale;
+  if (scaled > budget) scale *= budget / scaled;
+  for (int i = 0; i < kNumActivities; ++i)
+    totals.ns_[i] += static_cast<std::uint64_t>(
+        static_cast<double>(sampled_[i]) * scale);
+  return totals;
+}
+
+std::uint64_t ActivityTotals::total_ns() const {
+  std::uint64_t sum = 0;
+  for (std::uint64_t v : ns_) sum += v;
+  return sum;
+}
+
 std::uint64_t ActivityAccumulator::total_ns() const {
   std::uint64_t sum = 0;
-  for (auto v : ns_) sum += v;
+  for (int i = 0; i < kNumActivities; ++i) sum += ns_[i] + sampled_[i];
   return sum;
 }
 
 void ActivityAccumulator::merge(const ActivityAccumulator& other) {
-  for (int i = 0; i < kNumActivities; ++i) ns_[i] += other.ns_[i];
+  for (int i = 0; i < kNumActivities; ++i)
+    ns_[i] += other.ns(static_cast<Activity>(i));
+}
+
+void ActivityAccumulator::merge(const ActivityTotals& totals) {
+  for (int i = 0; i < kNumActivities; ++i) ns_[i] += totals.ns_[i];
 }
 
 }  // namespace gvc::util

@@ -112,6 +112,9 @@ SolveResult SharedSearch::harvest() const {
 
 NodeOutcome BlockSearch::visit(DegreeArray& da, Vertex& vmax_out) {
   if (!nodes_.register_node()) return NodeOutcome::kAbort;
+  // Opens or closes the Fig. 6 sample gate for this node and the work
+  // charged until the next one.
+  if (activities_ != nullptr) activities_->begin_node();
 
   // A cover worth keeping has fewer vertices than the best known (MVC) or
   // at most k (PVC). `best` is read again after the reduction, during

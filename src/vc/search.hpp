@@ -187,8 +187,9 @@ enum class NodeOutcome { kAbort, kPruned, kFound, kBranch };
 /// and where its Fig. 6 charges go.
 class BlockSearch {
  public:
-  /// `activities`, when non-null, receives the Fig. 6 charges; `visited_sink`
-  /// is handed to the NodeBatch.
+  /// `activities`, when non-null, receives the Fig. 6 charges and has its
+  /// sample gate set on every admitted node; `visited_sink` is handed to the
+  /// NodeBatch.
   BlockSearch(const CsrGraph& g, const SequentialConfig& config,
               SharedSearch& shared, ReduceWorkspace& ws,
               util::ActivityAccumulator* activities = nullptr,

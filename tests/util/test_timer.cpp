@@ -83,6 +83,119 @@ TEST(ActivityScope, ChargesElapsedMonotonicTimeWhileSleeping) {
   EXPECT_EQ(acc.total_ns(), acc.ns(Activity::kTerminate));
 }
 
+/// Starts `n` nodes 100 ns apart from `t0` on a synthetic clock, charging
+/// `ns` to `a` on each node the gate samples. Returns the time after the last
+/// node's window.
+std::uint64_t visit_nodes(ActivityAccumulator& acc, int n, std::uint64_t t0,
+                          Activity a, std::uint64_t ns) {
+  for (int i = 0; i < n; ++i) {
+    acc.begin_node(t0 + 100 * static_cast<std::uint64_t>(i));
+    if (acc.gate_open()) acc.charge(a, ns);
+  }
+  return t0 + 100 * static_cast<std::uint64_t>(n);
+}
+
+TEST(ActivityScope, ClosedGateChargesNothing) {
+  ActivityAccumulator acc;
+  acc.begin_node();  // the first node is sampled
+  EXPECT_TRUE(acc.gate_open());
+  acc.begin_node();
+  ASSERT_FALSE(acc.gate_open());
+  volatile double sink = 0;
+  {
+    ActivityScope scope(acc, Activity::kFindMaxDegree);
+    for (int i = 0; i < 1'000'000; ++i) sink = sink + 1.0;
+  }
+  const int r = timed(&acc, Activity::kDegreeOneRule, [] { return 7; });
+  EXPECT_EQ(r, 7);
+  EXPECT_EQ(acc.total_ns(), 0u);
+}
+
+TEST(ActivityAccumulator, GateOpensOnEveryStrideNodeFromTheFirst) {
+  ActivityAccumulator acc;
+  int open = 0;
+  for (std::uint64_t i = 0; i < 3 * ActivityAccumulator::kSampleStride + 1;
+       ++i) {
+    acc.begin_node();
+    if (acc.gate_open()) {
+      EXPECT_EQ(i % ActivityAccumulator::kSampleStride, 0u) << i;
+      ++open;
+    }
+  }
+  EXPECT_EQ(open, 4);  // nodes 0, 16, 32 and 48
+}
+
+TEST(ActivityAccumulator, SettleScalesSamplesToTheBlocksNodeTime) {
+  ActivityAccumulator acc;
+  acc.charge(Activity::kRemoveMaxVertex, 30);  // before the first node: exact
+  for (int i = 0; i < 32; ++i) {  // nodes at t = 100, 200, ..., 3200
+    acc.begin_node(100 + 100 * static_cast<std::uint64_t>(i));
+    if (i == 0) acc.charge(Activity::kDegreeOneRule, 40);
+    if (i == 16) acc.charge(Activity::kFindMaxDegree, 60);
+    if (i == 5) acc.add(Activity::kWorklistRemove, 50);  // unsampled window
+  }
+  EXPECT_EQ(acc.ns(Activity::kDegreeOneRule), 40u);  // unscaled
+  const ActivityTotals t = acc.settle(0, 3300);
+  // Node time 3300 - 100 - 50 = 3150 over two 100 ns sampled windows.
+  EXPECT_EQ(t.ns(Activity::kDegreeOneRule), 630u);  // 40 x 15.75
+  EXPECT_EQ(t.ns(Activity::kFindMaxDegree), 945u);  // 60 x 15.75
+  EXPECT_EQ(t.ns(Activity::kRemoveMaxVertex), 30u);
+  EXPECT_EQ(t.ns(Activity::kWorklistRemove), 50u);
+  EXPECT_EQ(t.total_ns(), 1655u);
+}
+
+TEST(ActivityAccumulator, WaitsInsideSampledWindowsAreNotNodeTime) {
+  ActivityAccumulator acc;
+  acc.begin_node(100);
+  acc.charge(Activity::kHighDegreeRule, 40);
+  acc.add(Activity::kWorklistRemove, 50);  // inside the sampled window
+  acc.begin_node(200);
+  acc.begin_node(300);
+  const ActivityTotals t = acc.settle(0, 400);
+  // Node time 300 - 50 = 250 over the sampled window's 100 - 50 = 50.
+  EXPECT_EQ(t.ns(Activity::kHighDegreeRule), 200u);
+  EXPECT_EQ(t.total_ns(), 250u);
+}
+
+TEST(ActivityAccumulator, SettleClampsAtTheBlocksElapsedTime) {
+  // Charges larger than the windows they fall in (no scope can produce
+  // them) still leave the block inside its elapsed time.
+  ActivityAccumulator acc;
+  const std::uint64_t end = visit_nodes(acc, 32, 100, Activity::kDegreeOneRule,
+                                        150);
+  acc.add(Activity::kWorklistRemove, 1000);
+  const ActivityTotals t = acc.settle(0, end);
+  EXPECT_EQ(t.ns(Activity::kWorklistRemove), 1000u);
+  EXPECT_LE(t.total_ns(), end);
+  EXPECT_GE(t.total_ns(), end - 2);  // the clamp binds, up to rounding
+}
+
+TEST(ActivityAccumulator, MergeAddsSettledAccumulators) {
+  ActivityAccumulator a, b, sum;
+  // a: two samples of 10 over 200 of 3200 ns; b: one over 100 of 300 ns.
+  const std::uint64_t a_end =
+      visit_nodes(a, 32, 0, Activity::kHighDegreeRule, 10);
+  const std::uint64_t b_end =
+      visit_nodes(b, 3, 0, Activity::kHighDegreeRule, 10);
+  b.add(Activity::kTerminate, 5);
+  sum.merge(a.settle(0, a_end));
+  sum.merge(b.settle(0, b_end + 5));
+  EXPECT_EQ(sum.ns(Activity::kHighDegreeRule), 320u + 30u);
+  EXPECT_EQ(sum.ns(Activity::kTerminate), 5u);
+  EXPECT_EQ(sum.total_ns(), 355u);
+}
+
+TEST(ActivityAccumulator, AddChargesWhileTheGateIsClosed) {
+  ActivityAccumulator acc;
+  acc.begin_node(100);
+  acc.begin_node(200);
+  ASSERT_FALSE(acc.gate_open());
+  acc.add(Activity::kWorklistRemove, 70);
+  const ActivityTotals t = acc.settle(0, 1000);
+  EXPECT_EQ(t.ns(Activity::kWorklistRemove), 70u);  // exact, not scaled
+  EXPECT_EQ(t.total_ns(), 70u);
+}
+
 TEST(ThreadCpuNs, MonotoneAndAdvancesUnderWork) {
   auto a = thread_cpu_ns();
   volatile double sink = 0;
