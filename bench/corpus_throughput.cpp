@@ -29,8 +29,8 @@
 //   corpus_throughput [--graphs N] [--chunk N] [--workers N] [--seed S]
 //                     [--out FILE]
 //
-// --out writes a machine-readable summary (BENCH_PR9.json at the repo root
-// is a committed capture).
+// --out writes a machine-readable summary (perfbench/README.md maps its
+// retired capture, BENCH_PR9.json, to the ladder's corpus_stream rows).
 
 #include <cstdio>
 #include <fstream>

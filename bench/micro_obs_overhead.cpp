@@ -3,7 +3,7 @@
 // micro benches this one must not depend on google-benchmark, because it
 // runs in CI as the acceptance gate for the observability PR).
 //
-// Three measurements:
+// Two measurements:
 //
 //   1. Hook cost. A tight loop over trace_instant_sampled / a Counter add,
 //      in ns/op. With no session active the trace hook is one relaxed load
@@ -21,37 +21,28 @@
 //      pays per scope: one load and a branch, held to the disabled-hook
 //      budget.
 //
-//   3. Solve throughput. The same Hybrid solve on a catalog instance,
-//      repeated for --reps wall-clock runs, in three modes: hooks off (no
-//      session — the production default), tracing on at the default 1-in-64
-//      sampling, and tracing on unsampled (sample_every=1, the worst
-//      case). The acceptance criterion is modes[hooks_off] within 2% of a
-//      GVC_OBS_DISABLED build; since one binary cannot contain both, the
-//      proxy enforced here is hook-cost <= --max-disabled-ns (default 3ns)
-//      AND hooks-off throughput, which CI compares across runs.
+// What tracing costs a whole solve is the ladder's traced exact_solve row
+// trace.overhead_frac (perfbench/), not a row here.
 //
-//   micro_obs_overhead [--instance NAME] [--scale S] [--reps N]
-//                      [--hook-iters N] [--out FILE] [--max-disabled-ns X]
+//   micro_obs_overhead [--hook-iters N] [--out FILE] [--max-disabled-ns X]
 //
-// --out writes a machine-readable summary (BENCH_PR7.json at the repo root
-// is a committed capture, taken before the activity clock rows existed).
-// Exit 1 if the disabled-path hook cost or the closed-gate ActivityScope
-// cost exceeds --max-disabled-ns (0 disables those gates), or if an
-// ActivityScope costs as much as one thread_cpu_ns() read.
+// --out writes a machine-readable summary. Exit 1 if the disabled-path hook
+// cost or the closed-gate ActivityScope cost exceeds --max-disabled-ns (0
+// disables those gates), or if an ActivityScope costs as much as one
+// thread_cpu_ns() read; exit 64 with the usage line on a flag it does not
+// declare.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
-#include <vector>
+#include <string_view>
 
-#include "harness/catalog.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "parallel/solver.hpp"
+#include "util/check.hpp"
 #include "util/cli.hpp"
-#include "util/log.hpp"
-#include "util/stats.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -71,34 +62,24 @@ double hook_ns(std::uint64_t iters, Fn&& fn) {
   return best;
 }
 
-struct Mode {
-  const char* name;
-  double median_s = 0.0;
-  double best_s = 0.0;
-};
-
-double median_solve_seconds(const graph::CsrGraph& g,
-                            const parallel::ParallelConfig& cfg, int reps,
-                            double* best_out) {
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(reps));
-  parallel::SolveWorkspace ws;
-  for (int r = 0; r < reps; ++r) {
-    util::WallTimer t;
-    parallel::ParallelResult res = parallel::solve(
-        g, parallel::Method::kHybrid, cfg, /*control=*/nullptr, &ws);
-    GVC_CHECK(res.best_size >= 0);
-    samples.push_back(t.seconds());
-  }
-  *best_out = util::min_of(samples);
-  return util::quantile(samples, 0.5);
-}
+/// The flags main reads; any other exits 64 with the usage line.
+constexpr std::string_view kFlags[] = {"hook-iters", "out", "max-disabled-ns"};
 
 }  // namespace
 
 int main(int argc, char** argv) {
   util::Args args(argc, argv);
-  const int reps = static_cast<int>(args.get_int("reps", 9));
+  for (const std::string& flag : args.flags()) {
+    if (std::find(std::begin(kFlags), std::end(kFlags), flag) !=
+        std::end(kFlags))
+      continue;
+    std::fprintf(stderr, "unknown flag --%s\n", flag.c_str());
+    std::fprintf(stderr,
+                 "usage: %s [--hook-iters N] [--out FILE] "
+                 "[--max-disabled-ns X]\n",
+                 args.program().c_str());
+    return 64;
+  }
   const std::uint64_t hook_iters =
       static_cast<std::uint64_t>(args.get_int("hook-iters", 200'000'000));
   const double max_disabled_ns = args.get_double("max-disabled-ns", 3.0);
@@ -154,62 +135,18 @@ int main(int argc, char** argv) {
               "(%llu iters)\n",
               closed_scope_ns, static_cast<unsigned long long>(hook_iters));
 
-  // ---- 3: solve throughput under the three modes ---------------------------
-  const std::string inst_name = args.get("instance", "p_hat_300_1");
-  const harness::Scale scale =
-      harness::parse_scale(args.get("scale", "smoke"));
-  std::vector<harness::Instance> catalog = harness::paper_catalog(scale);
-  const harness::Instance& inst = harness::find_instance(catalog, inst_name);
-  parallel::ParallelConfig cfg;
-  cfg.device = device::DeviceSpec::host_scaled();
-
-  Mode modes[3] = {{"hooks_off"}, {"tracing_sampled"}, {"tracing_unsampled"}};
-  {  // warm-up: graph load, workspace shapes, frequency scaling
-    double best;
-    median_solve_seconds(inst.graph(), cfg, 2, &best);
-  }
-  modes[0].median_s =
-      median_solve_seconds(inst.graph(), cfg, reps, &modes[0].best_s);
-
-  obs::TraceOptions topts;
-  topts.sample_every = 64;
-  GVC_CHECK(obs::trace_start(topts));
-  modes[1].median_s =
-      median_solve_seconds(inst.graph(), cfg, reps, &modes[1].best_s);
-  GVC_CHECK(obs::trace_stop());
-
-  topts.sample_every = 1;
-  GVC_CHECK(obs::trace_start(topts));
-  modes[2].median_s =
-      median_solve_seconds(inst.graph(), cfg, reps, &modes[2].best_s);
-  GVC_CHECK(obs::trace_stop());
-
-  for (const Mode& m : modes)
-    std::printf("%-18s median %.6fs  best %.6fs  (x%.3f vs hooks_off)\n",
-                m.name, m.median_s, m.best_s,
-                m.median_s / modes[0].median_s);
-
   if (!out_path.empty()) {
     std::ofstream os(out_path);
     GVC_CHECK_MSG(os.good(), "cannot write --out file");
     os << "{\n"
        << "  \"bench\": \"micro_obs_overhead\",\n"
-       << "  \"instance\": \"" << inst_name << "\",\n"
-       << "  \"reps\": " << reps << ",\n"
        << "  \"hook_iters\": " << hook_iters << ",\n"
        << "  \"trace_instant_disabled_ns\": " << instant_off_ns << ",\n"
        << "  \"counter_add_ns\": " << counter_ns << ",\n"
        << "  \"activity_scope_ns\": " << scope_ns << ",\n"
        << "  \"activity_scope_closed_ns\": " << closed_scope_ns << ",\n"
-       << "  \"thread_cpu_read_ns\": " << cpu_read_ns << ",\n"
-       << "  \"modes\": {\n";
-    for (int i = 0; i < 3; ++i)
-      os << "    \"" << modes[i].name << "\": {\"median_s\": "
-         << modes[i].median_s << ", \"best_s\": " << modes[i].best_s
-         << ", \"ratio_vs_hooks_off\": "
-         << modes[i].median_s / modes[0].median_s << "}"
-         << (i < 2 ? "," : "") << "\n";
-    os << "  }\n}\n";
+       << "  \"thread_cpu_read_ns\": " << cpu_read_ns << "\n"
+       << "}\n";
     std::printf("wrote %s\n", out_path.c_str());
   }
 

@@ -24,8 +24,8 @@
 // run demonstrates saturation: the daemon's kReject admission sheds the
 // overflow and the bench reports how much load survived. Completed-job
 // latencies merge across clients into p50/p99/p999; --out writes the
-// machine-readable summary (BENCH_PR8.json at the repo root is a committed
-// capture).
+// machine-readable summary (perfbench/README.md maps its retired capture,
+// BENCH_PR8.json, to the ladder's serve_wire rows).
 //
 // Exit 1 if any process misbehaves or no jobs complete; 64 on usage.
 

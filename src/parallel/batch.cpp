@@ -60,7 +60,9 @@ BatchResult solve_batch(const std::vector<const graph::CsrGraph*>& graphs,
   GVC_CHECK(resident > 0);
 
   const vc::SequentialConfig sc = sequential_config_of(config);
-  if (workspace) workspace->prepare(resident);
+  // Scratch is keyed on the resident slot, not the block: a 10k-graph batch
+  // reuses ~resident workspaces instead of allocating 10k.
+  BlockScratch scratch(workspace, resident);
 
   result.results.resize(graphs.size());
   device::VirtualDevice device(config.device);
@@ -70,12 +72,9 @@ BatchResult solve_batch(const std::vector<const graph::CsrGraph*>& graphs,
       grid, /*cooperative=*/false,
       [&](device::BlockContext& ctx) {
         const int b = ctx.block_id();
-        // Scratch is keyed on the resident slot, not the block: a 10k-graph
-        // batch reuses ~resident workspaces instead of allocating 10k.
-        vc::ReduceWorkspace* ws =
-            workspace ? &workspace->block(ctx.slot_id()) : nullptr;
-        vc::SolveResult r = vc::solve_sequential(
-            *graphs[static_cast<std::size_t>(b)], sc, control, ws);
+        vc::SolveResult r =
+            vc::solve_sequential(*graphs[static_cast<std::size_t>(b)], sc,
+                                 control, &scratch.block(ctx.slot_id()));
         ctx.count_nodes(r.tree_nodes);
         result.results[static_cast<std::size_t>(b)] = std::move(r);
       },

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "util/check.hpp"
 #include "vc/descent.hpp"
@@ -41,13 +42,60 @@ std::optional<BlockLaunch> try_plan_block_launch(const ParallelConfig& config,
   return launch;
 }
 
-BlockLaunch plan_block_launch(const ParallelConfig& config, bool pooled,
-                              std::int64_t num_vertices, int greedy_size) {
-  const char* why = nullptr;
-  const std::optional<BlockLaunch> launch =
-      try_plan_block_launch(config, pooled, num_vertices, greedy_size, &why);
-  GVC_CHECK_MSG(launch.has_value(), why);
-  return *launch;
+LaunchFrame::LaunchFrame(const graph::CsrGraph& g,
+                         const ParallelConfig& config, bool pooled,
+                         vc::SolveControl* control, SolveWorkspace* workspace,
+                         const StealEnv* env)
+    : g_(g),
+      config_(config),
+      pooled_(pooled),
+      greedy_(vc::greedy_mvc(g)),
+      launch_([&] {
+        const char* why = nullptr;
+        const std::optional<BlockLaunch> launch = try_plan_block_launch(
+            config, pooled, g.num_vertices(), greedy_.size, &why);
+        GVC_CHECK_MSG(launch.has_value(), why);
+        return *launch;
+      }()),
+      sc_(sequential_config_of(config)),
+      shared_(config.problem, config.k, greedy_.size, std::move(greedy_.cover),
+              control),
+      scratch_(workspace, launch_.threads) {
+  // A migrated node re-enters through vc::search_subtree against THIS
+  // solve's shared search, on whichever thread imports it.
+  if (env != nullptr && env->broker != nullptr)
+    migrate_.emplace(*env->broker, env->device_id,
+                     [this](vc::DegreeArray&& node, vc::ReduceWorkspace& ws) {
+                       vc::search_subtree(g_, sc_, shared_, std::move(node),
+                                          ws);
+                     });
+}
+
+ParallelResult LaunchFrame::run(
+    const std::function<void(device::BlockContext&)>& body) {
+  ParallelResult result;
+  result.plan = launch_.plan;
+  device::VirtualDevice dev(config_.device);
+  result.launch = dev.launch(launch_.grid, /*cooperative=*/!pooled_, body,
+                             launch_.threads);
+
+  // Settle migrated nodes BEFORE harvesting: un-imported exports are
+  // unexplored subtrees (a clean MVC optimum must cover them), so they run
+  // here unless the solve already stopped, and the drain waits out every
+  // remotely running import — nothing references `shared_` after it.
+  if (migrate_.has_value()) {
+    vc::ReduceWorkspace reclaim_ws;
+    const bool abandon =
+        shared_.aborted() ||
+        (config_.problem != vc::Problem::kMvc && shared_.pvc_found());
+    migrate_->drain(reclaim_ws, abandon);
+  }
+
+  static_cast<vc::SolveResult&>(result) = shared_.harvest();
+  result.greedy_upper_bound = greedy_.size;
+  result.seconds = timer_.seconds();
+  result.sim_seconds = result.launch.makespan_seconds();
+  return result;
 }
 
 }  // namespace gvc::parallel

@@ -1,18 +1,26 @@
 #pragma once
 
-// Configuration and result types shared by the two GPU-style solvers.
+// Configuration and result types shared by the GPU-style solvers, and the
+// launch frame every block solver runs its block body in.
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <vector>
 
 #include "device/device_spec.hpp"
 #include "device/occupancy.hpp"
 #include "device/virtual_device.hpp"
+#include "graph/csr.hpp"
+#include "parallel/steal_env.hpp"
+#include "util/timer.hpp"
 #include "vc/branching.hpp"
+#include "vc/greedy.hpp"
 #include "vc/reductions.hpp"
+#include "vc/search.hpp"
 #include "vc/sequential.hpp"
 #include "vc/solve_types.hpp"
+#include "worklist/device_broker.hpp"
 #include "worklist/global_worklist.hpp"
 
 namespace gvc::parallel {
@@ -33,9 +41,9 @@ class SolveWorkspace {
     return blocks_[static_cast<std::size_t>(block_id)];
   }
 
-  /// Grows the per-block pool to `grid` entries. Called by each solver
-  /// before its launch; buffers of previous jobs are kept (that reuse is
-  /// the point).
+  /// Grows the per-block pool to `grid` entries (BlockScratch does, before
+  /// each launch); buffers of previous jobs are kept (that reuse is the
+  /// point).
   void prepare(int grid) {
     if (blocks_.size() < static_cast<std::size_t>(grid))
       blocks_.resize(static_cast<std::size_t>(grid));
@@ -58,6 +66,26 @@ class SolveWorkspace {
 
  private:
   std::vector<vc::ReduceWorkspace> blocks_;
+};
+
+/// One launch's per-block reduce scratch: the caller's SolveWorkspace, or a
+/// temporary one owned here when the caller passed none, prepared for
+/// `slots` resident slots. Blocks index it by ctx.slot_id(), so a pooled
+/// launch stays resident-sized however large its grid.
+class BlockScratch {
+ public:
+  BlockScratch(SolveWorkspace* caller, int slots)
+      : ws_(caller != nullptr ? *caller : own_) {
+    ws_.prepare(slots);
+  }
+  BlockScratch(const BlockScratch&) = delete;
+  BlockScratch& operator=(const BlockScratch&) = delete;
+
+  vc::ReduceWorkspace& block(int slot) { return ws_.block(slot); }
+
+ private:
+  SolveWorkspace own_;  // used only when the caller passed none
+  SolveWorkspace& ws_;
 };
 
 struct ParallelConfig {
@@ -149,15 +177,13 @@ struct BlockLaunch {
 /// vc::descent_depth_bound entries (greedy_size + 2 for MVC, k + 2 for PVC). `pooled` is StackOnly's 2^start_depth
 /// blocks drained by the plan's resident slots; otherwise the grid is
 /// cooperative: grid_override, or the plan's resident count. Returns
-/// nullopt with `*why` set when the config cannot launch. The solvers plan
-/// through plan_block_launch, which aborts on exactly these conditions.
+/// nullopt with `*why` set when the config cannot launch; LaunchFrame
+/// aborts on exactly these conditions.
 std::optional<BlockLaunch> try_plan_block_launch(const ParallelConfig& config,
                                                  bool pooled,
                                                  std::int64_t num_vertices,
                                                  int greedy_size,
                                                  const char** why);
-BlockLaunch plan_block_launch(const ParallelConfig& config, bool pooled,
-                              std::int64_t num_vertices, int greedy_size);
 
 struct ParallelResult : vc::SolveResult {
   device::LaunchPlan plan;
@@ -174,6 +200,60 @@ struct ParallelResult : vc::SolveResult {
   /// because the worklist was full — the frontier-explosion events of
   /// §IV-A's strawman design. Always 0 for the other methods.
   std::uint64_t overflow_spills = 0;
+};
+
+/// The frame StackOnly, Hybrid, GlobalOnly and WorkStealing run their block
+/// body in, so each method keeps only the body: where a block's next node
+/// comes from. Construction starts the solve's wall clock, runs the greedy
+/// bound on the CPU (§II-B: it seeds `best` and bounds the stack, §IV-E),
+/// plans the launch (`pooled`: StackOnly's 2^D blocks on the resident
+/// slots; otherwise cooperative), builds the shared search, prepares the
+/// block scratch and, under a StealEnv, registers the tier-2 migration
+/// group. `workspace` and `env` may be null.
+class LaunchFrame {
+ public:
+  LaunchFrame(const graph::CsrGraph& g, const ParallelConfig& config,
+              bool pooled, vc::SolveControl* control,
+              SolveWorkspace* workspace, const StealEnv* env = nullptr);
+  LaunchFrame(const LaunchFrame&) = delete;  // the migration runner holds this
+  LaunchFrame& operator=(const LaunchFrame&) = delete;
+
+  const BlockLaunch& launch() const { return launch_; }
+  vc::SharedSearch& shared() { return shared_; }
+
+  /// The migration group while a StealEnv is attached, else null.
+  worklist::DeviceBroker::Group* migrate() {
+    return migrate_.has_value() ? &*migrate_ : nullptr;
+  }
+
+  /// The reduce scratch of ctx's resident slot.
+  vc::ReduceWorkspace& scratch(const device::BlockContext& ctx) {
+    return scratch_.block(ctx.slot_id());
+  }
+
+  /// ctx's block of the shared search: its Fig. 6 charges go to the block's
+  /// accumulator and its node total to BlockStats::nodes_visited.
+  vc::BlockSearch block_search(device::BlockContext& ctx) {
+    return vc::BlockSearch(g_, sc_, shared_, scratch(ctx), &ctx.activities(),
+                           &ctx.mutable_stats().nodes_visited);
+  }
+
+  /// Launches `body` once per block, settles migrated nodes (see run() in
+  /// config.cpp) and harvests: fills the result's search fields, plan,
+  /// launch stats, greedy bound and both clocks. Call once.
+  ParallelResult run(const std::function<void(device::BlockContext&)>& body);
+
+ private:
+  const graph::CsrGraph& g_;
+  const ParallelConfig& config_;
+  const bool pooled_;
+  util::WallTimer timer_;
+  vc::GreedyResult greedy_;  // its cover moves into shared_
+  BlockLaunch launch_;
+  vc::SequentialConfig sc_;
+  vc::SharedSearch shared_;
+  BlockScratch scratch_;
+  std::optional<worklist::DeviceBroker::Group> migrate_;
 };
 
 }  // namespace gvc::parallel

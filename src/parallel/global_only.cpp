@@ -1,13 +1,10 @@
 #include "parallel/global_only.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <utility>
 #include <vector>
 
 #include "obs/trace.hpp"
-#include "util/timer.hpp"
-#include "vc/greedy.hpp"
 #include "vc/search.hpp"
 #include "worklist/global_worklist.hpp"
 
@@ -19,6 +16,7 @@ using graph::CsrGraph;
 using graph::Vertex;
 using util::Activity;
 using util::ActivityScope;
+using worklist::charged_acquire;
 using worklist::GlobalWorklist;
 
 }  // namespace
@@ -27,22 +25,10 @@ ParallelResult solve_global_only(const CsrGraph& g,
                                  const ParallelConfig& config,
                                  vc::SolveControl* control,
                                  SolveWorkspace* workspace) {
-  util::WallTimer timer;
-  ParallelResult result;
-
   const bool mvc = config.problem == vc::Problem::kMvc;
 
-  vc::GreedyResult greedy = vc::greedy_mvc(g);
-  result.greedy_upper_bound = greedy.size;
-
-  const BlockLaunch launch = plan_block_launch(
-      config, /*pooled=*/false, g.num_vertices(), greedy.size);
-  result.plan = launch.plan;
-  const int grid = launch.grid;
-
-  const vc::SequentialConfig sc = sequential_config_of(config);
-  vc::SharedSearch shared(config.problem, config.k, greedy.size,
-                          std::move(greedy.cover), control);
+  LaunchFrame frame(g, config, /*pooled=*/false, control, workspace);
+  vc::SharedSearch& shared = frame.shared();
 
   // Note: config.branch_state is ignored here. The strawman hands BOTH
   // children to the worklist at every branch — there is no local
@@ -53,23 +39,17 @@ ParallelResult solve_global_only(const CsrGraph& g,
   // so try_donate degenerates to "add unless full" — the per-node policy of
   // the strawman. rejected_full then counts exactly the explosion events.
   GlobalWorklist worklist(config.worklist_capacity, config.worklist_capacity,
-                          grid);
+                          frame.launch().grid);
   worklist.add(vc::DegreeArray(g));
 
   std::atomic<std::uint64_t> spills{0};
-  if (workspace) workspace->prepare(grid);
-
-  auto body = [&](device::BlockContext& ctx) {
+  ParallelResult result = frame.run([&](device::BlockContext& ctx) {
     // Host-side escape hatch for a full queue; see the header comment. The
     // pure design has no per-block storage at all.
     std::vector<vc::DegreeArray> spill;
     vc::DegreeArray da;
     vc::DegreeArray child;
-    vc::ReduceWorkspace local_ws;  // per-block reduce scratch (cold path)
-    vc::ReduceWorkspace& ws =
-        workspace ? workspace->block(ctx.block_id()) : local_ws;
-    vc::BlockSearch search(g, sc, shared, ws, &ctx.activities(),
-                           &ctx.mutable_stats().nodes_visited);
+    vc::BlockSearch search = frame.block_search(ctx);
     bool have_node = false;
 
     for (;;) {
@@ -84,15 +64,9 @@ ParallelResult solve_global_only(const CsrGraph& g,
           ActivityScope scope(ctx.activities(), Activity::kStackPop);
           da = std::move(spill.back());
           spill.pop_back();
-        } else {
-          std::uint64_t t0 = util::now_ns();
-          GlobalWorklist::RemoveOutcome out = worklist.remove(da);
-          std::uint64_t elapsed = util::now_ns() - t0;
-          if (out == GlobalWorklist::RemoveOutcome::kDone) {
-            ctx.activities().add(Activity::kTerminate, elapsed);
-            return;
-          }
-          ctx.activities().add(Activity::kWorklistRemove, elapsed);
+        } else if (!charged_acquire(ctx.activities(),
+                                    [&] { return worklist.remove(da); })) {
+          return;
         }
         vc::adopt_node(da);  // fresh standalone node (spill or global)
       }
@@ -144,15 +118,7 @@ ParallelResult solve_global_only(const CsrGraph& g,
         have_node = true;
       }
     }
-  };
-
-  device::VirtualDevice dev(config.device);
-  result.launch = dev.launch(grid, /*cooperative=*/true, body);
-
-  static_cast<vc::SolveResult&>(result) = shared.harvest();
-  result.greedy_upper_bound = greedy.size;
-  result.seconds = timer.seconds();
-  result.sim_seconds = result.launch.makespan_seconds();
+  });
   result.worklist = worklist.stats();
   result.overflow_spills = spills.load(std::memory_order_relaxed);
   return result;

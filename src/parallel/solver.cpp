@@ -98,14 +98,10 @@ ParallelResult dispatch_solve(const graph::CsrGraph& g, Method method,
                               const StealEnv* env) {
   switch (method) {
     case Method::kSequential: {
-      vc::SequentialConfig sc = sequential_config_of(config);
-      vc::ReduceWorkspace* ws = nullptr;
-      if (workspace) {
-        workspace->prepare(1);
-        ws = &workspace->block(0);
-      }
+      BlockScratch scratch(workspace, 1);
       ParallelResult r;
-      static_cast<vc::SolveResult&>(r) = solve_sequential(g, sc, control, ws);
+      static_cast<vc::SolveResult&>(r) = solve_sequential(
+          g, sequential_config_of(config), control, &scratch.block(0));
       r.sim_seconds = r.seconds;  // one CPU thread: makespan == wall time
       return r;
     }

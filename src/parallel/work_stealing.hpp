@@ -21,8 +21,9 @@
 //    already gone idle.
 //  * Steals take the shallowest node, which is the same
 //    biggest-subtree-first heuristic the worklist achieves implicitly.
-//  * Termination needs a dedicated all-idle protocol (here: the same
-//    waiting-count scheme as GlobalWorklist, over all deques).
+//  * Termination is the all-idle protocol GlobalWorklist runs
+//    (worklist::IdleTermination), with one scan of every deque as the
+//    attempt.
 //
 // On the GPU this maps to per-block Chase–Lev deques in global memory; the
 // paper's worklist wins on implementation simplicity and on its §IV-E

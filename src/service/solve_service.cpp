@@ -11,6 +11,14 @@
 
 namespace gvc::service {
 
+namespace {
+
+/// Tier-2 broker: max migrated nodes parked cross-device at once (small on
+/// purpose — the broker is a relief valve, not a worklist).
+constexpr std::size_t kBrokerCapacity = 64;
+
+}  // namespace
+
 const char* steal_tiers_name(StealTiers t) {
   switch (t) {
     case StealTiers::kNone:         return "none";
@@ -156,7 +164,7 @@ SolveService::SolveService(ServiceOptions options)
   // Tier 2 needs at least two devices (imports are cross-device only).
   if (options_.steal_tiers == StealTiers::kJobsAndNodes && num_devices > 1)
     broker_ = std::make_unique<worklist::DeviceBroker>(
-        num_devices, options_.broker_capacity);
+        num_devices, kBrokerCapacity);
 
   queues_.reserve(static_cast<std::size_t>(options_.num_workers));
   jobs_per_worker_.reserve(static_cast<std::size_t>(options_.num_workers));

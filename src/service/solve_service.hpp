@@ -91,9 +91,6 @@ struct ServiceOptions {
   /// demand is noticed promptly, large enough not to spin.
   double steal_poll_seconds = 0.002;
 
-  /// Tier-2 broker: max migrated nodes parked cross-device at once.
-  std::size_t broker_capacity = 64;
-
   /// Per-shard JobQueue capacity.
   std::size_t queue_capacity = 256;
 

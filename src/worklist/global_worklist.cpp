@@ -1,15 +1,12 @@
 #include "worklist/global_worklist.hpp"
 
-#include <chrono>
-
 #include "util/check.hpp"
 
 namespace gvc::worklist {
 
 GlobalWorklist::GlobalWorklist(std::size_t capacity, std::size_t threshold,
                                int num_blocks)
-    : queue_(capacity), threshold_(threshold), num_blocks_(num_blocks) {
-  GVC_CHECK(num_blocks > 0);
+    : queue_(capacity), threshold_(threshold), idle_(num_blocks) {
   GVC_CHECK_MSG(threshold <= queue_.capacity(),
                 "threshold exceeds worklist capacity");
 }
@@ -17,14 +14,11 @@ GlobalWorklist::GlobalWorklist(std::size_t capacity, std::size_t threshold,
 void GlobalWorklist::add(vc::DegreeArray node) {
   GVC_CHECK_MSG(queue_.try_push(std::move(node)), "worklist full while seeding");
   adds_.fetch_add(1, std::memory_order_relaxed);
-  wait_cv_.notify_one();
+  idle_.notify();
 }
 
 bool GlobalWorklist::try_donate(vc::DegreeArray&& node) {
-  if (queue_.size_approx() >= threshold_) {
-    rejected_threshold_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
+  if (!poll_donate_gate()) return false;
   if (!queue_.try_push(std::move(node))) {
     rejected_full_.fetch_add(1, std::memory_order_relaxed);
     return false;
@@ -36,57 +30,17 @@ bool GlobalWorklist::try_donate(vc::DegreeArray&& node) {
          !max_size_.compare_exchange_weak(prev, sz, std::memory_order_relaxed)) {
   }
   // Wake one sleeper; it will either take this entry or re-sleep.
-  wait_cv_.notify_one();
+  idle_.notify();
   return true;
 }
 
 GlobalWorklist::RemoveOutcome GlobalWorklist::remove(vc::DegreeArray& out) {
-  for (;;) {
-    if (stop_.load(std::memory_order_acquire) ||
-        done_.load(std::memory_order_acquire))
-      return RemoveOutcome::kDone;
-
-    if (queue_.try_pop(out)) {
-      removes_.fetch_add(1, std::memory_order_relaxed);
-      return RemoveOutcome::kGot;
-    }
-
-    // Failed removal: register as waiting. If every block in the grid is
-    // now waiting, no block is processing a node, so no new work can ever
-    // be produced; one exact re-check of the queue decides termination.
-    // (Blocks only push while processing, i.e. outside remove(), so
-    // waiting == num_blocks implies there are no in-flight pushes, and the
-    // acq_rel chain through waiting_ makes completed pushes visible.)
-    int now_waiting = waiting_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (now_waiting == num_blocks_) {
-      if (queue_.try_pop(out)) {
-        waiting_.fetch_sub(1, std::memory_order_acq_rel);
-        removes_.fetch_add(1, std::memory_order_relaxed);
-        return RemoveOutcome::kGot;
-      }
-      done_.store(true, std::memory_order_release);
-      waiting_.fetch_sub(1, std::memory_order_acq_rel);
-      wait_cv_.notify_all();
-      return RemoveOutcome::kDone;
-    }
-    {
-      // Sleep briefly, then retry (the paper's nanosleep backoff). The
-      // timeout guards against a lost notify between the failed pop and
-      // the wait.
-      std::unique_lock<std::mutex> lock(wait_mutex_);
-      wait_cv_.wait_for(lock, std::chrono::microseconds(200), [&] {
-        return !queue_.empty_approx() ||
-               stop_.load(std::memory_order_acquire) ||
-               done_.load(std::memory_order_acquire);
-      });
-    }
-    waiting_.fetch_sub(1, std::memory_order_acq_rel);
-  }
-}
-
-void GlobalWorklist::signal_stop() {
-  stop_.store(true, std::memory_order_release);
-  wait_cv_.notify_all();
+  const RemoveOutcome got = idle_.acquire(
+      [&] { return queue_.try_pop(out); },
+      [&] { return !queue_.empty_approx(); });
+  if (got == RemoveOutcome::kGot)
+    removes_.fetch_add(1, std::memory_order_relaxed);
+  return got;
 }
 
 WorklistStats GlobalWorklist::stats() const {

@@ -8,16 +8,16 @@
 //   * the termination protocol — a failed removal distinguishes "the queue
 //     is transiently empty but blocks are still working" (wait and retry)
 //     from "every block in the grid is waiting on an empty queue" (done).
+//     remove() runs worklist::IdleTermination, which WorkStealing's deque
+//     ensemble runs too, with "pop the queue" as the attempt.
 // The PVC found-flag (§IV-A) is folded in as signal_stop().
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 
-#include "util/timer.hpp"
 #include "vc/degree_array.hpp"
 #include "worklist/broker_queue.hpp"
+#include "worklist/idle_termination.hpp"
 
 namespace gvc::worklist {
 
@@ -36,11 +36,9 @@ struct WorklistStats {
 
 class GlobalWorklist {
  public:
-  enum class RemoveOutcome {
-    kGot,   ///< an entry was removed into `out`
-    kDone,  ///< traversal finished (all blocks waiting on empty queue) or
-            ///< a stop was signalled (PVC cover found)
-  };
+  /// kGot: an entry was removed into `out`; kDone: traversal finished or a
+  /// stop was signalled (PVC cover found).
+  using RemoveOutcome = Acquired;
 
   /// num_blocks is the grid size: the number of blocks that participate in
   /// the termination protocol. Every one of them must eventually call
@@ -77,8 +75,8 @@ class GlobalWorklist {
   RemoveOutcome remove(vc::DegreeArray& out);
 
   /// PVC: signal every block (including those asleep in remove()) to stop.
-  void signal_stop();
-  bool stopped() const { return stop_.load(std::memory_order_acquire); }
+  void signal_stop() { idle_.signal_stop(); }
+  bool stopped() const { return idle_.stopped(); }
 
   /// Snapshot of the counters (call after the kernel has terminated).
   WorklistStats stats() const;
@@ -86,14 +84,7 @@ class GlobalWorklist {
  private:
   BrokerQueue<vc::DegreeArray> queue_;
   std::size_t threshold_;
-  int num_blocks_;
-
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> done_{false};
-  std::atomic<int> waiting_{0};
-
-  std::mutex wait_mutex_;
-  std::condition_variable wait_cv_;
+  IdleTermination idle_;
 
   std::atomic<std::uint64_t> adds_{0};
   std::atomic<std::uint64_t> removes_{0};

@@ -217,6 +217,26 @@ TEST_P(BlockMethodsTest, PassedDeadlineCountsAddUp) {
   expect_at_most_one_node_per_block(r);
 }
 
+TEST_P(BlockMethodsTest, NoWorkspaceMatchesWarmWorkspace) {
+  // Without a SolveWorkspace the launch frame runs on a temporary one. On a
+  // serialized device the trees are exact, so a cold solve must match one on
+  // a workspace warmed by a larger graph and by this one.
+  ParallelConfig c;
+  c.device.num_sms = 1;
+  c.device.max_blocks_per_sm = 1;
+  c.grid_override = 1;
+  c.start_depth = 2;
+  SolveWorkspace ws;
+  solve(graph::barabasi_albert(120, 4, 3), GetParam(), c, nullptr, &ws);
+  solve(graph(), GetParam(), c, nullptr, &ws);
+  const ParallelResult warm = solve(graph(), GetParam(), c, nullptr, &ws);
+  const ParallelResult cold = solve(graph(), GetParam(), c);
+  EXPECT_EQ(cold.outcome, vc::Outcome::kOptimal);
+  EXPECT_EQ(cold.tree_nodes, warm.tree_nodes);
+  EXPECT_EQ(cold.best_size, warm.best_size);
+  EXPECT_EQ(cold.cover, warm.cover);
+}
+
 TEST(Solver, CheckSolvePlansLikeTheSolver) {
   // star(1000): the greedy cover is the hub, so the solver's stack is 3
   // degree arrays deep while a |V|-deep one fits no block. The check must

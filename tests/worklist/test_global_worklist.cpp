@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
+#include <vector>
 
 #include "graph/generators.hpp"
+#include "worklist/idle_termination.hpp"
 
 namespace gvc::worklist {
 namespace {
@@ -131,6 +134,97 @@ TEST(GlobalWorklist, MaxSizeSeenTracksPeak) {
   vc::DegreeArray out;
   for (int i = 0; i < 5; ++i) wl.remove(out);
   EXPECT_EQ(wl.stats().max_size_seen, 5u);
+}
+
+// ---- IdleTermination: the all-idle protocol GlobalWorklist::remove and
+// WorkStealing's victim scan both run.
+
+TEST(IdleTermination, LastWaiterLatchesDoneOnlyAfterItsRescan) {
+  // A one-block grid's block is always the last to wait.
+  IdleTermination idle(/*num_blocks=*/1);
+  int takes = 0;
+  EXPECT_EQ(idle.acquire([&] {
+              ++takes;
+              EXPECT_FALSE(idle.done());
+              return false;
+            }),
+            Acquired::kDone);
+  EXPECT_EQ(takes, 2);  // the scan, then the rescan
+  EXPECT_TRUE(idle.done());
+}
+
+TEST(IdleTermination, PushBeforeTheLastRescanIsTakenNotLost) {
+  // The push lands after the last waiter's scan failed, before its rescan.
+  IdleTermination idle(/*num_blocks=*/1);
+  int takes = 0;
+  EXPECT_EQ(idle.acquire([&] { return ++takes == 2; }), Acquired::kGot);
+  EXPECT_EQ(takes, 2);
+  EXPECT_FALSE(idle.done());
+  EXPECT_EQ(idle.acquire([] { return false; }), Acquired::kDone);
+}
+
+TEST(IdleTermination, SignalStopWakesEverySleeper) {
+  // Three of four blocks wait; the fourth never arrives, so only the stop
+  // releases them.
+  IdleTermination idle(/*num_blocks=*/4);
+  std::atomic<int> released{0};
+  std::vector<std::thread> sleepers;
+  for (int b = 0; b < 3; ++b)
+    sleepers.emplace_back([&] {
+      EXPECT_EQ(idle.acquire([] { return false; }), Acquired::kDone);
+      released.fetch_add(1);
+    });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_EQ(released.load(), 0);
+  idle.signal_stop();
+  for (auto& t : sleepers) t.join();
+  EXPECT_EQ(released.load(), 3);
+  EXPECT_FALSE(idle.done());
+}
+
+/// Seconds a sleeper in a two-block grid (the other block never arrives)
+/// needs for `takes` takes, the last one succeeding, while the caller floods
+/// notify(). A pass its wake predicate does not release sleeps 200 us.
+template <typename Ready>
+double seconds_for_takes(int takes, Ready ready) {
+  IdleTermination idle(/*num_blocks=*/2);
+  std::atomic<int> n{0};
+  const auto start = std::chrono::steady_clock::now();
+  std::thread sleeper([&] {
+    idle.acquire([&] { return n.fetch_add(1) + 1 >= takes; }, ready);
+  });
+  while (n.load() < takes) idle.notify();
+  sleeper.join();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+TEST(IdleTermination, WakePredicatesAreRespected) {
+  constexpr int kTakes = 200;
+  const double sleeping = (kTakes - 1) * 200e-6;
+  // WorkStealing's thieves wake early on stop/done only: a notify alone
+  // does not end a sleep.
+  EXPECT_GE(seconds_for_takes(kTakes, [] { return false; }), sleeping);
+  // GlobalWorklist's sleepers wake on a non-empty queue: while it holds
+  // work they retry without sleeping.
+  EXPECT_LT(seconds_for_takes(kTakes, [] { return true; }), sleeping);
+}
+
+TEST(IdleTermination, ChargedAcquireChargesTheWholeWait) {
+  util::ActivityAccumulator acc;
+  IdleTermination idle(/*num_blocks=*/1);
+  EXPECT_TRUE(charged_acquire(
+      acc, [&] { return idle.acquire([] { return true; }); }));
+  EXPECT_EQ(acc.ns(util::Activity::kTerminate), 0u);
+  // A 1 ms scan and a 1 ms rescan, then done: all of it is kTerminate.
+  EXPECT_FALSE(charged_acquire(acc, [&] {
+    return idle.acquire([] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      return false;
+    });
+  }));
+  EXPECT_GE(acc.ns(util::Activity::kTerminate), 2'000'000u);
 }
 
 TEST(GlobalWorklistDeathTest, ThresholdAboveCapacity) {
