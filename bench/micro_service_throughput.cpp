@@ -156,6 +156,7 @@ struct SmokeRun {
   std::uint64_t completed = 0;
   std::uint64_t steal_jobs = 0;
   std::uint64_t steal_nodes = 0;
+  std::vector<double> busy_s, idle_s;  ///< per worker, from the PhaseTable
   double rate() const { return static_cast<double>(completed) / makespan_s; }
 };
 
@@ -167,14 +168,8 @@ std::vector<std::shared_ptr<const graph::CsrGraph>> skewed_pool(
   while (static_cast<int>(out.size()) < count) {
     auto g = std::make_shared<graph::CsrGraph>(
         graph::gnp(kGraphSize, kDensity, 50000 + seed++));
-    service::JobSpec probe;
-    probe.graph = g;
-    probe.method = parallel::Method::kHybrid;
-    service::CacheKey key;
-    key.graph_hash = service::canonical_graph_hash(*g);
-    key.num_vertices = g->num_vertices();
-    key.num_edges = g->num_edges();
-    key.config_hash = service::solve_config_hash(probe.method, probe.config);
+    const service::CacheKey key =
+        service::make_cache_key(*g, parallel::Method::kHybrid, {});
     if (service::SolveService::home_shard(key, num_shards) == 0)
       out.push_back(std::move(g));
   }
@@ -188,7 +183,6 @@ SmokeRun run_skewed(
   opts.num_workers = 4;
   opts.num_devices = num_devices;
   opts.steal_tiers = tiers;
-  opts.steal_poll_seconds = 0.001;
   service::SolveService svc(opts);
 
   util::WallTimer timer;
@@ -210,13 +204,18 @@ SmokeRun run_skewed(
   run.steal_jobs = s.steal_jobs;
   run.steal_nodes = s.steal_nodes;
   for (const auto& w : s.worker_phases) {
-    const double busy_s =
-        static_cast<double>(w.total_ns() -
-                            w.ns[static_cast<int>(obs::Phase::kIdle)]) *
-        1e-9;
-    run.makespan_s = std::max(run.makespan_s, busy_s);
+    const std::uint64_t idle_ns = w.ns[static_cast<int>(obs::Phase::kIdle)];
+    run.busy_s.push_back(static_cast<double>(w.total_ns() - idle_ns) * 1e-9);
+    run.idle_s.push_back(static_cast<double>(idle_ns) * 1e-9);
+    run.makespan_s = std::max(run.makespan_s, run.busy_s.back());
   }
   return run;
+}
+
+void print_worker_split(const SmokeRun& run) {
+  for (std::size_t w = 0; w < run.busy_s.size(); ++w)
+    std::printf("      worker %zu: busy %.3fs  idle %.3fs\n", w,
+                run.busy_s[w], run.idle_s[w]);
 }
 
 int multidevice_smoke(const char* json_out) {
@@ -236,6 +235,7 @@ int multidevice_smoke(const char* json_out) {
       "(%.1f jobs/busy-s)  wall %.3fs\n",
       static_cast<unsigned long long>(base.completed), base.makespan_s,
       base.rate(), base.wall_s);
+  print_worker_split(base);
   std::printf(
       "  2 devices, tiers on : %2llu jobs  busy-makespan %.3fs  "
       "(%.1f jobs/busy-s)  wall %.3fs  steals: %llu jobs, %llu nodes\n",
@@ -243,6 +243,7 @@ int multidevice_smoke(const char* json_out) {
       multi.rate(), multi.wall_s,
       static_cast<unsigned long long>(multi.steal_jobs),
       static_cast<unsigned long long>(multi.steal_nodes));
+  print_worker_split(multi);
   std::printf("  work-conservation scaling: %.2fx (gate: >= 1.5x)\n",
               scaling);
 

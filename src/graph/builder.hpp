@@ -24,9 +24,6 @@ class GraphBuilder {
   /// duplicates are deduplicated at build time. Order of u, v is irrelevant.
   void add_edge(Vertex u, Vertex v);
 
-  /// Number of edge records accumulated so far (pre-dedup).
-  std::size_t num_recorded() const { return edges_.size(); }
-
   /// Whether {u,v} has been recorded (linear scan; for tests/generators).
   bool contains(Vertex u, Vertex v) const;
 

@@ -1,7 +1,6 @@
 #include "harness/runner.hpp"
 
 #include "graph/ops.hpp"
-#include "service/graph_hash.hpp"
 #include "util/check.hpp"
 #include "util/strings.hpp"
 
@@ -21,12 +20,7 @@ const char* problem_instance_name(ProblemInstance p) {
   return "?";
 }
 
-Runner::Runner(RunnerOptions options) : options_(std::move(options)) {
-  // One entry per catalog instance is plenty; a shared cache keeps its own
-  // (typically larger) capacity.
-  cache_ = options_.cache ? options_.cache
-                          : std::make_shared<service::ResultCache>(64);
-}
+Runner::Runner(RunnerOptions options) : options_(std::move(options)) {}
 
 ParallelConfig Runner::make_config(ProblemInstance problem, int k) const {
   ParallelConfig c;
@@ -62,20 +56,9 @@ int Runner::min_cover(const Instance& inst) {
   if (options_.limits.time_limit_s > 0)
     net.limits.time_limit_s = options_.limits.time_limit_s * 20;
 
-  // Memoized through the canonical-hash cache: a SolveService sharing this
-  // cache serves the identical submission without re-solving, and an
-  // earlier service/harness solve of this instance is reused here. The
-  // memo is status-aware: only a complete (kOptimal) record is trusted as
-  // a minimum — the cache refuses incomplete outcomes at admission, but
-  // guard here too in case an entry predates that policy.
-  const service::CacheKey key =
-      service::make_cache_key(inst.graph(), Method::kHybrid, c);
-  ParallelResult r;
-  if (!cache_->lookup(key, &r) || !r.complete()) {
-    r = parallel::solve(inst.graph(), Method::kHybrid, c, &net);
-    GVC_CHECK_MSG(r.complete(), "min-cover solve hit the safety net");
-    cache_->insert(key, r);
-  }
+  const ParallelResult r =
+      parallel::solve(inst.graph(), Method::kHybrid, c, &net);
+  GVC_CHECK_MSG(r.complete(), "min-cover solve hit the safety net");
   GVC_CHECK_MSG(graph::is_vertex_cover(inst.graph(), r.cover),
                 "min-cover solve produced an invalid cover");
   min_memo_[inst.name()] = r.best_size;

@@ -4,19 +4,12 @@
 // budget limits (the analogue of the paper's ">2 hrs" cut-off), caches each
 // instance's minimum cover size (needed to derive the PVC k = min±1 rows),
 // and formats result cells.
-//
-// The min-cover memo is a service::ResultCache keyed by the same canonical
-// graph+config hash the SolveService uses, so a Runner handed a service's
-// cache warms it for subsequent service traffic (and vice versa).
 
 #include <map>
-#include <memory>
-#include <optional>
 #include <string>
 
 #include "harness/catalog.hpp"
 #include "parallel/solver.hpp"
-#include "service/result_cache.hpp"
 
 namespace gvc::harness {
 
@@ -39,10 +32,6 @@ struct RunnerOptions {
   std::size_t worklist_capacity = 4096;
   double worklist_threshold_frac = 0.5;
   int start_depth = 6;
-
-  /// Result cache backing the min-cover memo. Null: the Runner creates a
-  /// private one. Pass a SolveService's cache() to share warm entries.
-  std::shared_ptr<service::ResultCache> cache;
 };
 
 class Runner {
@@ -52,8 +41,9 @@ class Runner {
   const RunnerOptions& options() const { return options_; }
 
   /// The instance's minimum vertex cover size, solved once (Hybrid, verified
-  /// against a Sequential run at smoke scales) and cached. Aborts if the
-  /// solve hits the budget — min must be exact for the PVC rows.
+  /// against a Sequential run at smoke scales) and memoized by instance
+  /// name. Aborts if the solve hits the budget — min must be exact for the
+  /// PVC rows.
   int min_cover(const Instance& inst);
 
   /// Runs one cell of Table I. For the PVC rows, k is derived from
@@ -74,16 +64,10 @@ class Runner {
   /// the primary metric for the GPU versions on this substrate.
   static std::string sim_time_cell(const parallel::ParallelResult& r);
 
-  /// The cache backing min_cover(); shared with whoever provided it.
-  const std::shared_ptr<service::ResultCache>& cache() const { return cache_; }
-
  private:
   RunnerOptions options_;
-  std::shared_ptr<service::ResultCache> cache_;
 
-  /// Name-keyed front memo over `cache_`: repeat min_cover() calls skip
-  /// the O(|V|+|E|) canonical hash, and the answer survives even if busy
-  /// shared-cache traffic LRU-evicts the full record.
+  /// min_cover() answers by instance name.
   std::map<std::string, int> min_memo_;
 };
 

@@ -143,25 +143,26 @@ JobQueue::PushOutcome JobQueue::push(std::shared_ptr<JobState> job,
   return PushOutcome::kAccepted;
 }
 
-std::shared_ptr<JobState> JobQueue::pop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  not_empty_.wait(lock, [&] { return closed_ || !heap_.empty(); });
-  if (heap_.empty()) return nullptr;  // closed and drained
-  Entry e = heap_pop();
-  ++stats_.popped;
-  lock.unlock();
-  not_full_.notify_one();
-  return std::move(e.job);
-}
-
-std::shared_ptr<JobState> JobQueue::try_pop() {
-  std::unique_lock<std::mutex> lock(mutex_);
+std::shared_ptr<JobState> JobQueue::take(std::unique_lock<std::mutex>& lock) {
   if (heap_.empty()) return nullptr;
   Entry e = heap_pop();
   ++stats_.popped;
   lock.unlock();
+  // Every dequeue frees a slot — a steal included, so a producer blocked
+  // on this shard wakes even though the shard's own worker never popped.
   not_full_.notify_one();
   return std::move(e.job);
+}
+
+std::shared_ptr<JobState> JobQueue::pop() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  not_empty_.wait(lock, [&] { return closed_ || !heap_.empty(); });
+  return take(lock);  // null: closed and drained
+}
+
+std::shared_ptr<JobState> JobQueue::try_pop() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  return take(lock);
 }
 
 std::shared_ptr<JobState> JobQueue::pop_for(double seconds,
@@ -170,12 +171,7 @@ std::shared_ptr<JobState> JobQueue::pop_for(double seconds,
   not_empty_.wait_for(lock, std::chrono::duration<double>(seconds),
                       [&] { return closed_ || !heap_.empty(); });
   if (closed_out) *closed_out = closed_;
-  if (heap_.empty()) return nullptr;  // timed out, or closed and drained
-  Entry e = heap_pop();
-  ++stats_.popped;
-  lock.unlock();
-  not_full_.notify_one();
-  return std::move(e.job);
+  return take(lock);  // null: timed out, or closed and drained
 }
 
 void JobQueue::close() {

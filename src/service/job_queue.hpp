@@ -114,6 +114,9 @@ class JobQueue {
   static bool runs_later(const Entry& a, const Entry& b);
   void heap_push(Entry e);
   Entry heap_pop();
+  /// The dequeue tail every pop shares: pops the front entry (nullptr if
+  /// empty), unlocks, and signals not_full_.
+  std::shared_ptr<JobState> take(std::unique_lock<std::mutex>& lock);
 
   // Registry exposure of the stats above (gvc_queue_*); a sharded service
   // registers one JobQueue per shard and the scrape sums the family.

@@ -78,16 +78,14 @@ ResultCache::Outcome ResultCache::acquire(
       obs::trace_instant(obs::TraceCat::kCache, "cache_hit");
       return Outcome::kHit;
     }
-    if (node.inflight_owner != nullptr &&
-        is_terminal(node.inflight_owner->status())) {
+    if (is_terminal(node.inflight_owner->status())) {
       // The owner died while queued (cancelled/expired) and has not been
       // swept yet: adopt the key so this submission re-solves.
       node.inflight_owner = fresh;
       ++stats_.misses;
       return Outcome::kMiss;
     }
-    if (node.inflight_owner != nullptr && fresh != nullptr &&
-        !same_solve_budget(fresh->spec(), node.inflight_owner->spec())) {
+    if (!same_solve_budget(fresh->spec(), node.inflight_owner->spec())) {
       // Same result identity, different budgets: the in-flight solve runs
       // under the owner's control, so its answer may be truncated in ways
       // this caller did not ask for. Run independently.
@@ -115,29 +113,22 @@ void ResultCache::complete(const CacheKey& key,
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = map_.find(key);
   if (it != map_.end() && it->second.ready) {
-    // Refreshed store (two memoizers raced): keep the first result — the
-    // coalescing contract promises one canonical record per key — but
-    // refresh recency. Exception (staleness upgrade): a complete record
-    // replaces an incomplete one a pre-policy writer left behind.
-    if (!vc::is_complete(it->second.result.outcome) &&
-        vc::is_complete(result.outcome))
-      it->second.result = result;
+    // Already stored (a bypass job finished first): keep the first result
+    // — the coalescing contract promises one canonical record per key —
+    // but refresh recency.
     touch(it->second);
     return;
   }
   // Admission: limit/deadline/cancel outcomes are load-dependent, not
   // canonical, and sub-threshold solves are cheaper to redo than the
   // eviction they'd cause. Refusal == abandon for the refusing job's OWN
-  // registration (so the next identical submission re-solves); a refusal
-  // must not tear down a live registration belonging to a different job
-  // (memoizers and bypass jobs never held one).
+  // registration (so the next identical submission re-solves); a bypass
+  // job's refusal leaves the owner's live registration alone.
   if (!vc::is_complete(result.outcome) ||
       result.seconds < min_cache_seconds_) {
     ++stats_.refused;
     obs::trace_instant(obs::TraceCat::kCache, "cache_refuse");
-    if (it != map_.end() &&
-        (owner == nullptr ? it->second.inflight_owner == nullptr
-                          : it->second.inflight_owner.get() == owner))
+    if (it != map_.end() && it->second.inflight_owner.get() == owner)
       map_.erase(it);
     return;
   }
@@ -157,22 +148,10 @@ void ResultCache::complete(const CacheKey& key,
 void ResultCache::abandon(const CacheKey& key, const JobState* owner) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = map_.find(key);
-  if (it == map_.end() || it->second.ready) return;
-  if (owner != nullptr && it->second.inflight_owner.get() != owner) return;
+  if (it == map_.end() || it->second.ready ||
+      it->second.inflight_owner.get() != owner)
+    return;
   map_.erase(it);
-}
-
-bool ResultCache::lookup(const CacheKey& key, parallel::ParallelResult* out) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = map_.find(key);
-  if (it == map_.end() || !it->second.ready) {
-    ++stats_.misses;
-    return false;
-  }
-  ++stats_.hits;
-  touch(it->second);
-  if (out) *out = it->second.result;
-  return true;
 }
 
 ResultCache::Stats ResultCache::stats() const {

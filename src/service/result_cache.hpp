@@ -1,40 +1,34 @@
 #pragma once
 
-// Canonical-hash result cache with LRU eviction and in-flight deduplication.
+// Canonical-hash result cache with LRU eviction and in-flight deduplication,
+// owned by one SolveService.
 //
-// Two client styles share one instance:
-//
-//  * The SolveService submit path calls acquire(): in one critical section
-//    it either serves a completed entry (kHit), attaches the caller to an
-//    identical job that is already queued/running (kInflight — the
-//    submissions coalesce and every ticket completes when that one solve
-//    does), or registers the caller's fresh job as the in-flight owner of
-//    the key (kMiss — the caller must later complete() or abandon() it).
-//
-//  * Synchronous memoizers (harness::Runner::min_cover) use lookup()/
-//    insert() like a plain map, and thereby warm the same entries the
-//    service serves.
+// The submit path calls acquire(): in one critical section it either serves
+// a completed entry (kHit), attaches the caller to an identical job that is
+// already queued/running (kInflight — the submissions coalesce and every
+// ticket completes when that one solve does), or registers the caller's
+// fresh job as the in-flight owner of the key (kMiss — the owner must later
+// complete() or abandon() it). Every complete()/abandon() names the job
+// making the call; only the registration's owner can release it.
 //
 // Eviction is LRU over *completed* entries only; in-flight registrations
 // are pinned (evicting one would break the coalescing contract) and do not
 // count toward capacity.
 //
-// Admission policy (complete()/insert()):
+// Admission policy (complete()):
 //
 //  * Only complete outcomes (vc::is_complete — kOptimal/kInfeasible) are
 //    stored. Limit hits, kDeadline and kCancelled records are refused with
 //    one shared staleness rule: they are load-dependent, not canonical, so
 //    serving them to future identical submissions would pin a transient
-//    failure. A refusal also releases the key's in-flight registration, so
-//    the next identical submission re-solves.
+//    failure. A refusal also releases the caller's in-flight registration,
+//    so the next identical submission re-solves.
 //
 //  * Cost-aware admission: solves cheaper than `min_cache_seconds` are
 //    refused the same way, so floods of tiny instances cannot evict
 //    expensive records (default 0 = store everything).
 //
-//  * A stored entry is immutable except for the staleness upgrade: a
-//    complete record replaces an incomplete one left by a pre-policy
-//    writer; it is never downgraded.
+//  * A stored entry is immutable: the first complete record for a key wins.
 
 #include <cstdint>
 #include <list>
@@ -60,7 +54,7 @@ class ResultCache {
 
   struct Stats {
     std::uint64_t hits = 0;           ///< served from a completed entry
-    std::uint64_t misses = 0;         ///< acquire/lookup found nothing
+    std::uint64_t misses = 0;         ///< acquire found nothing
     std::uint64_t inflight_hits = 0;  ///< coalesced onto a running job
     std::uint64_t bypasses = 0;       ///< in-flight key, incompatible
                                       ///< budgets: solved independently
@@ -85,9 +79,10 @@ class ResultCache {
   /// 0 stores every complete record.
   explicit ResultCache(std::size_t capacity, double min_cache_seconds = 0.0);
 
-  /// Service path; see the header comment. On kHit `*result_out` is filled;
-  /// on kInflight `*owner_out` is the job every coalesced ticket shares; on
-  /// kMiss `fresh` is registered as the key's in-flight owner.
+  /// See the header comment. `fresh` is the caller's new job (non-null).
+  /// On kHit `*result_out` is filled; on kInflight `*owner_out` is the job
+  /// every coalesced ticket shares; on kMiss `fresh` is registered as the
+  /// key's in-flight owner.
   ///
   /// Dead-owner adoption: if the registered owner is already terminal (it
   /// was cancelled or expired while queued and no worker has swept the
@@ -98,30 +93,21 @@ class ResultCache {
                   parallel::ParallelResult* result_out,
                   std::shared_ptr<JobState>* owner_out);
 
-  /// Completes an in-flight registration (or directly stores/refreshes a
-  /// completed entry — insert() is this without a prior acquire()). The
-  /// admission policy applies: a refused record (incomplete outcome, or
-  /// cheaper than min_cache_seconds) drops the caller's in-flight
-  /// registration instead of storing, exactly like abandon() — and like
-  /// abandon(), the drop is owner-guarded: a refusal only erases the
-  /// registration when `owner` matches it (or when no registration
-  /// exists). Memoizers (owner == nullptr) never tear down a service
-  /// job's live registration.
+  /// Stores `result` for `key` under the admission policy. The first
+  /// stored record wins: a later complete() of a stored key only refreshes
+  /// its recency. A kBypass job stores through here too, without a
+  /// registration of its own. A refused record (incomplete outcome, or
+  /// cheaper than min_cache_seconds) stores nothing and, like abandon(),
+  /// drops the key's in-flight registration if `owner` holds it.
   void complete(const CacheKey& key, const parallel::ParallelResult& result,
-                const JobState* owner = nullptr);
+                const JobState* owner);
 
-  /// Drops an in-flight registration without a result (the owner job was
-  /// rejected, expired, or cancelled). No-op if the key is not in-flight,
-  /// or — when `owner` is given — if the registration has since been
-  /// adopted by a different job (see acquire): a worker sweeping a dead
-  /// job must not tear down the adopter's live registration.
-  void abandon(const CacheKey& key, const JobState* owner = nullptr);
-
-  /// Memo path: completed entries only. lookup() refreshes LRU recency.
-  bool lookup(const CacheKey& key, parallel::ParallelResult* out);
-  void insert(const CacheKey& key, const parallel::ParallelResult& result) {
-    complete(key, result);
-  }
+  /// Drops `owner`'s in-flight registration without a result (the job was
+  /// rejected, expired, or cancelled). No-op if the key is not in flight
+  /// or its registration belongs to another job — after a dead-owner
+  /// adoption (see acquire), a worker sweeping the dead job must not tear
+  /// down the adopter's live registration.
+  void abandon(const CacheKey& key, const JobState* owner);
 
   std::size_t capacity() const { return capacity_; }
   double min_cache_seconds() const { return min_cache_seconds_; }
@@ -131,7 +117,7 @@ class ResultCache {
   struct Node {
     bool ready = false;
     parallel::ParallelResult result;          // valid when ready
-    std::shared_ptr<JobState> inflight_owner;  // valid when !ready
+    std::shared_ptr<JobState> inflight_owner;  // non-null iff !ready
     std::list<CacheKey>::iterator lru_it;      // valid when ready
   };
 

@@ -17,6 +17,11 @@ namespace {
 /// purpose — the broker is a relief valve, not a worklist).
 constexpr std::size_t kBrokerCapacity = 64;
 
+/// How long a worker with steal sources that found nothing anywhere waits
+/// on its own shard before rescanning them. Small enough that remote
+/// demand is noticed promptly, large enough not to spin.
+constexpr double kStealPollSeconds = 0.002;
+
 }  // namespace
 
 const char* steal_tiers_name(StealTiers t) {
@@ -75,11 +80,11 @@ bool JobTicket::cancel() const {
 
 SolveService::SolveService(ServiceOptions options)
     : options_(std::move(options)),
-      phase_table_(std::max(1, options_.num_workers)) {
+      phase_table_(std::max(1, options_.num_workers)),
+      cache_(options_.cache_capacity, options_.min_cache_seconds) {
   options_.num_workers = std::max(1, options_.num_workers);
   options_.num_devices =
       std::min(std::max(1, options_.num_devices), options_.num_workers);
-  options_.steal_poll_seconds = std::max(1e-4, options_.steal_poll_seconds);
   options_.corpus_chunk_size =
       std::max<std::size_t>(1, options_.corpus_chunk_size);
 
@@ -125,11 +130,6 @@ SolveService::SolveService(ServiceOptions options)
       reg.histogram("gvc_steal_migration_run_seconds",
                     "wall time of one migrated-node run on the thief");
 
-  cache_ = options_.cache
-               ? options_.cache
-               : std::make_shared<ResultCache>(options_.cache_capacity,
-                                               options_.min_cache_seconds);
-
   // Topology. One device: workers slice the machine directly — the exact
   // pre-sharding layout (slice names included, so cache keys and test
   // expectations carry over). Multiple devices: the machine is carved into
@@ -139,13 +139,14 @@ SolveService::SolveService(ServiceOptions options)
   const int num_workers = options_.num_workers;
   const int num_devices = options_.num_devices;
   worker_device_.assign(static_cast<std::size_t>(num_workers), 0);
-  device_workers_.assign(static_cast<std::size_t>(num_devices), {});
+  std::vector<std::vector<int>> device_workers(
+      static_cast<std::size_t>(num_devices));
   if (num_devices == 1) {
-    device_slices_ = {options_.device};
     worker_devices_ = partition_device(options_.device, num_workers);
-    for (int w = 0; w < num_workers; ++w) device_workers_[0].push_back(w);
+    for (int w = 0; w < num_workers; ++w) device_workers[0].push_back(w);
   } else {
-    device_slices_ = partition_device(options_.device, num_devices);
+    const std::vector<device::DeviceSpec> device_slices =
+        partition_device(options_.device, num_devices);
     worker_devices_.reserve(static_cast<std::size_t>(num_workers));
     const int base = num_workers / num_devices;
     const int extra = num_workers % num_devices;
@@ -153,14 +154,21 @@ SolveService::SolveService(ServiceOptions options)
     for (int d = 0; d < num_devices; ++d) {
       const int wpd = base + (d < extra ? 1 : 0);
       std::vector<device::DeviceSpec> slices =
-          partition_device(device_slices_[static_cast<std::size_t>(d)], wpd);
+          partition_device(device_slices[static_cast<std::size_t>(d)], wpd);
       for (int j = 0; j < wpd; ++j, ++w) {
         worker_device_[static_cast<std::size_t>(w)] = d;
-        device_workers_[static_cast<std::size_t>(d)].push_back(w);
+        device_workers[static_cast<std::size_t>(d)].push_back(w);
         worker_devices_.push_back(std::move(slices[static_cast<std::size_t>(j)]));
       }
     }
   }
+  // Tier 1 steals only within a device.
+  steal_victims_.assign(static_cast<std::size_t>(num_workers), {});
+  if (options_.steal_tiers != StealTiers::kNone)
+    for (int w = 0; w < num_workers; ++w)
+      for (int s : device_workers[static_cast<std::size_t>(
+               worker_device_[static_cast<std::size_t>(w)])])
+        if (s != w) steal_victims_[static_cast<std::size_t>(w)].push_back(s);
   // Tier 2 needs at least two devices (imports are cross-device only).
   if (options_.steal_tiers == StealTiers::kJobsAndNodes && num_devices > 1)
     broker_ = std::make_unique<worklist::DeviceBroker>(
@@ -195,26 +203,11 @@ int SolveService::shard_of(const CacheKey& key) const {
   return home_shard(key, static_cast<int>(queues_.size()));
 }
 
-namespace {
-
-/// The cache key of `spec` as submitted, before the device pin: what routes
-/// the job to its home shard.
-CacheKey submitted_key(const JobSpec& spec) {
-  CacheKey key;
-  key.graph_hash = canonical_graph_hash(*spec.graph);
-  key.num_vertices = spec.graph->num_vertices();
-  key.num_edges = spec.graph->num_edges();
-  key.config_hash = solve_config_hash(spec.method, spec.config);
-  return key;
-}
-
-}  // namespace
-
 const device::DeviceSpec& SolveService::executed_device(
     const JobSpec& spec) const {
   if (!options_.partition_device) return spec.config.device;
-  return worker_devices_[static_cast<std::size_t>(
-      shard_of(submitted_key(spec)))];
+  return worker_devices_[static_cast<std::size_t>(shard_of(
+      make_cache_key(*spec.graph, spec.method, spec.config)))];
 }
 
 JobTicket SolveService::submit(JobSpec spec) {
@@ -225,77 +218,14 @@ JobTicket SolveService::submit(JobSpec spec) {
   // shard choice is deterministic in the submitted config, so identical
   // submissions land on the same worker and get the same slice. The cache
   // key is computed AFTER the device pin — entries must describe the
-  // config that actually ran, or a cache sharer with a different worker
-  // layout would be served records produced under a device its key never
-  // encoded.
-  CacheKey key = submitted_key(spec);
+  // config that actually ran.
+  CacheKey key = make_cache_key(*spec.graph, spec.method, spec.config);
   const int shard = shard_of(key);
   if (options_.partition_device) {
     spec.config.device = worker_devices_[static_cast<std::size_t>(shard)];
     key.config_hash = solve_config_hash(spec.method, spec.config);
   }
-  auto state = std::make_shared<JobState>(
-      next_job_id_.fetch_add(1, std::memory_order_relaxed), std::move(spec),
-      key);
-  obs::trace_instant(obs::TraceCat::kService, "job_submit", "job",
-                     static_cast<std::int64_t>(state->id()));
-
-  if (shutdown_.load(std::memory_order_acquire)) {
-    rejected_->add();
-    state->finish(JobStatus::kRejected,
-                  dropped_result(vc::Outcome::kCancelled), 0.0, 0.0);
-    observe_latency(state->e2e_seconds(), 0.0, 0.0,
-                    /*queued=*/false, /*solved=*/false);
-    return JobTicket{std::move(state)};
-  }
-
-  parallel::ParallelResult cached;
-  std::shared_ptr<JobState> owner;
-  switch (cache_->acquire(key, state, &cached, &owner)) {
-    case ResultCache::Outcome::kHit: {
-      cache_hits_->add();
-      state->finish(JobStatus::kDone, std::move(cached), 0.0, 0.0);
-      observe_latency(state->e2e_seconds(), 0.0, 0.0,
-                      /*queued=*/false, /*solved=*/false);
-      JobTicket t{std::move(state)};
-      t.cache_hit = true;
-      return t;
-    }
-    case ResultCache::Outcome::kInflight: {
-      coalesced_->add();
-      JobTicket t{std::move(owner)};
-      t.coalesced = true;
-      return t;
-    }
-    case ResultCache::Outcome::kMiss:
-    case ResultCache::Outcome::kBypass:
-      // kBypass: an identical key is in flight under different budgets —
-      // this job runs its own solve. It holds no registration; the
-      // owner-guarded abandon/complete calls below are no-ops for it.
-      break;
-  }
-
-  const double deadline_abs =
-      state->spec().deadline_s > 0.0
-          ? state->submit_time_s() + state->spec().deadline_s
-          : 0.0;
-  const JobQueue::PushOutcome outcome =
-      queues_[static_cast<std::size_t>(shard)]->push(state, deadline_abs);
-  if (outcome != JobQueue::PushOutcome::kAccepted) {
-    cache_->abandon(key, state.get());
-    if (outcome == JobQueue::PushOutcome::kRejectedExpired) {
-      expired_->add();
-      state->finish(JobStatus::kExpired,
-                    dropped_result(vc::Outcome::kDeadline), 0.0, 0.0);
-    } else {
-      rejected_->add();
-      state->finish(JobStatus::kRejected,
-                    dropped_result(vc::Outcome::kCancelled), 0.0, 0.0);
-    }
-    observe_latency(state->e2e_seconds(), 0.0, 0.0,
-                    /*queued=*/false, /*solved=*/false);
-  }
-  return JobTicket{std::move(state)};
+  return admit(std::move(spec), key, shard);
 }
 
 std::vector<JobTicket> SolveService::submit_all(std::vector<JobSpec> specs) {
@@ -321,39 +251,66 @@ JobTicket SolveService::submit_batch_job(JobSpec spec) {
       static_cast<std::uint64_t>(queues_.size()));
   if (options_.partition_device)
     spec.config.device = worker_devices_[static_cast<std::size_t>(shard)];
+  return admit(std::move(spec), CacheKey{}, shard);
+}
+
+JobTicket SolveService::admit(JobSpec spec, const CacheKey& key, int shard) {
+  const bool cached = !spec.is_batch();
   auto state = std::make_shared<JobState>(
       next_job_id_.fetch_add(1, std::memory_order_relaxed), std::move(spec),
-      CacheKey{});
-  obs::trace_instant(obs::TraceCat::kService, "batch_submit", "job",
+      key);
+  obs::trace_instant(obs::TraceCat::kService,
+                     cached ? "job_submit" : "batch_submit", "job",
                      static_cast<std::int64_t>(state->id()));
 
   if (shutdown_.load(std::memory_order_acquire)) {
-    rejected_->add();
-    state->finish(JobStatus::kRejected,
-                  dropped_result(vc::Outcome::kCancelled), 0.0, 0.0);
-    observe_latency(state->e2e_seconds(), 0.0, 0.0,
-                    /*queued=*/false, /*solved=*/false);
+    drop(*state, JobStatus::kRejected, -1.0);
     return JobTicket{std::move(state)};
+  }
+
+  if (cached) {
+    parallel::ParallelResult hit;
+    std::shared_ptr<JobState> owner;
+    switch (cache_.acquire(key, state, &hit, &owner)) {
+      case ResultCache::Outcome::kHit: {
+        cache_hits_->add();
+        state->finish(JobStatus::kDone, std::move(hit), 0.0, 0.0);
+        observe_latency(state->e2e_seconds(), 0.0, 0.0,
+                        /*queued=*/false, /*solved=*/false);
+        JobTicket t{std::move(state)};
+        t.cache_hit = true;
+        return t;
+      }
+      case ResultCache::Outcome::kInflight: {
+        coalesced_->add();
+        JobTicket t{std::move(owner)};
+        t.coalesced = true;
+        return t;
+      }
+      case ResultCache::Outcome::kMiss:
+      case ResultCache::Outcome::kBypass:
+        // kBypass: an identical key is in flight under different budgets —
+        // this job runs its own solve. It holds no registration; the
+        // owner-guarded abandon/complete calls are no-ops for it.
+        break;
+    }
   }
 
   const double deadline_abs =
       state->spec().deadline_s > 0.0
           ? state->submit_time_s() + state->spec().deadline_s
           : 0.0;
-  const JobQueue::PushOutcome outcome =
-      queues_[static_cast<std::size_t>(shard)]->push(state, deadline_abs);
-  if (outcome != JobQueue::PushOutcome::kAccepted) {
-    if (outcome == JobQueue::PushOutcome::kRejectedExpired) {
-      expired_->add();
-      state->finish(JobStatus::kExpired,
-                    dropped_result(vc::Outcome::kDeadline), 0.0, 0.0);
-    } else {
-      rejected_->add();
-      state->finish(JobStatus::kRejected,
-                    dropped_result(vc::Outcome::kCancelled), 0.0, 0.0);
-    }
-    observe_latency(state->e2e_seconds(), 0.0, 0.0,
-                    /*queued=*/false, /*solved=*/false);
+  switch (queues_[static_cast<std::size_t>(shard)]->push(state,
+                                                          deadline_abs)) {
+    case JobQueue::PushOutcome::kAccepted:
+      break;
+    case JobQueue::PushOutcome::kRejectedExpired:
+      drop(*state, JobStatus::kExpired, -1.0);
+      break;
+    case JobQueue::PushOutcome::kRejectedFull:
+    case JobQueue::PushOutcome::kRejectedClosed:
+      drop(*state, JobStatus::kRejected, -1.0);
+      break;
   }
   return JobTicket{std::move(state)};
 }
@@ -421,6 +378,32 @@ void SolveService::observe_latency(double e2e_s, double queue_s,
   if (solved) solve_hist_->observe_seconds(solve_s);
 }
 
+void SolveService::drop(JobState& job, JobStatus status, double queue_s) {
+  vc::Outcome cause = vc::Outcome::kCancelled;
+  switch (status) {
+    case JobStatus::kExpired:
+      expired_->add();
+      cause = vc::Outcome::kDeadline;
+      break;
+    case JobStatus::kCancelled:
+      cancelled_->add();
+      break;
+    default:
+      rejected_->add();
+      break;
+  }
+  if (!job.spec().is_batch()) cache_.abandon(job.key(), &job);
+  const bool queued = queue_s >= 0.0;
+  if (is_terminal(job.status())) {
+    observe_latency(job.e2e_seconds(), job.queue_seconds(), 0.0, queued,
+                    /*solved=*/false);
+  } else {
+    observe_latency(service_now_s() - job.submit_time_s(),
+                    queued ? queue_s : 0.0, 0.0, queued, /*solved=*/false);
+  }
+  job.finish(status, dropped_result(cause), queued ? queue_s : 0.0, 0.0);
+}
+
 void SolveService::worker_loop(int w) {
   obs::set_thread_label(util::format("svc-worker-%d", w));
 
@@ -430,21 +413,9 @@ void SolveService::worker_loop(int w) {
   // huge StackOnly grid doesn't pin 2^start_depth |V|-sized buffers).
   constexpr int kRetainedWorkspaceBlocks = 64;
   parallel::SolveWorkspace workspace;
-  JobQueue& queue = *queues_[static_cast<std::size_t>(w)];
-  const bool stealing = options_.steal_tiers != StealTiers::kNone;
 
   for (;;) {
-    std::shared_ptr<JobState> job;
-    if (stealing) {
-      job = acquire_job_stealing(w, workspace);
-    } else {
-      // No stealing: the original blocking per-shard pop, untouched.
-      const double idle_from_s = service_now_s();
-      job = queue.pop();
-      phase_table_.add(w, obs::Phase::kIdle,
-                       static_cast<std::uint64_t>(
-                           (service_now_s() - idle_from_s) * 1e9));
-    }
+    std::shared_ptr<JobState> job = acquire_job(w, workspace);
     if (!job) return;  // closed and drained
 
     const double dequeued_s = service_now_s();
@@ -456,14 +427,9 @@ void SolveService::worker_loop(int w) {
     const double deadline_abs =
         spec.deadline_s > 0.0 ? job->submit_time_s() + spec.deadline_s : 0.0;
     if (deadline_abs > 0.0 && dequeued_s >= deadline_abs) {
-      if (!spec.is_batch()) cache_->abandon(job->key(), job.get());
-      expired_->add();
       obs::trace_instant(obs::TraceCat::kService, "job_expired", "job",
                          static_cast<std::int64_t>(job->id()));
-      observe_latency(service_now_s() - job->submit_time_s(), queue_seconds,
-                      0.0, /*queued=*/true, /*solved=*/false);
-      job->finish(JobStatus::kExpired, dropped_result(vc::Outcome::kDeadline),
-                  queue_seconds, 0.0);
+      drop(*job, JobStatus::kExpired, queue_seconds);
       continue;
     }
     // Propagate the queue deadline into the solve BEFORE start(): a job
@@ -472,22 +438,15 @@ void SolveService::worker_loop(int w) {
     vc::SolveControl& control = *job->control();
     control.set_deadline(deadline_abs);
     if (!job->start()) {
-      // Terminal before it ran — cancelled while queued, or rejected
-      // during shutdown. Release the in-flight cache registration (unless
-      // an identical later submission already adopted it) so the next
-      // identical submission re-solves, and account the cancellation here:
-      // the canceller flipped the status but cannot reach the counters.
-      // The canceller already stamped the e2e time (cancel() turned the
-      // state terminal before this dequeue), so the latency is observed
-      // here — once, from the stamped values. Like the cancelled_ count,
-      // the samples land when the worker drains the entry; a stats() read
-      // racing the drain may not see them yet (shutdown() makes it final).
-      if (!spec.is_batch()) cache_->abandon(job->key(), job.get());
-      if (job->status() == JobStatus::kCancelled) {
-        cancelled_->add();
-        observe_latency(job->e2e_seconds(), job->queue_seconds(), 0.0,
-                        /*queued=*/true, /*solved=*/false);
-      }
+      // Terminal before it ran: only cancel() ends a queued job. Release
+      // the in-flight cache registration (unless an identical later
+      // submission already adopted it) so the next identical submission
+      // re-solves, and account the cancellation here: the canceller
+      // flipped the status but cannot reach the counters. Like the
+      // cancelled_ count, the latency samples land when the worker drains
+      // the entry; a stats() read racing the drain may not see them yet
+      // (shutdown() makes it final).
+      drop(*job, JobStatus::kCancelled, queue_seconds);
       continue;
     }
 
@@ -559,7 +518,7 @@ void SolveService::worker_loop(int w) {
     // no registration and store nothing.
     if (!spec.is_batch()) {
       const double cache_from_s = service_now_s();
-      cache_->complete(job->key(), result, job.get());
+      cache_.complete(job->key(), result, job.get());
       phase_table_.add(w, obs::Phase::kCache,
                        static_cast<std::uint64_t>(
                            (service_now_s() - cache_from_s) * 1e9));
@@ -589,12 +548,14 @@ void SolveService::worker_loop(int w) {
   }
 }
 
-std::shared_ptr<JobState> SolveService::acquire_job_stealing(
+std::shared_ptr<JobState> SolveService::acquire_job(
     int w, parallel::SolveWorkspace& workspace) {
   JobQueue& own = *queues_[static_cast<std::size_t>(w)];
   const int dev = worker_device_[static_cast<std::size_t>(w)];
-  const std::vector<int>& siblings =
-      device_workers_[static_cast<std::size_t>(dev)];
+  const std::vector<int>& victims = steal_victims_[static_cast<std::size_t>(w)];
+  // Nothing to steal from (kNone, a device with one worker and no broker):
+  // the wait below is a plain blocking pop with no re-poll.
+  const bool can_steal = !victims.empty() || broker_ != nullptr;
 
   // Everything here is waiting (kIdle) except migrated-node runs (kSteal).
   double idle_from_s = service_now_s();
@@ -616,8 +577,7 @@ std::shared_ptr<JobState> SolveService::acquire_job_stealing(
     // the config it was pinned at admission — its cache key already
     // describes that slice, so executing it here changes nothing the key
     // encodes.
-    for (int s : siblings) {
-      if (s == w) continue;
+    for (int s : victims) {
       if (std::shared_ptr<JobState> job =
               queues_[static_cast<std::size_t>(s)]->try_pop()) {
         steal_jobs_->add();
@@ -652,23 +612,20 @@ std::shared_ptr<JobState> SolveService::acquire_job_stealing(
       }
     }
 
-    // Nothing anywhere: bounded sleep on the own shard, registered hungry
-    // so solves on other devices see this device's demand meanwhile.
+    // Nothing anywhere: wait on the own shard, registered hungry so solves
+    // on other devices see this device's demand meanwhile.
     if (broker_) broker_->enter_hungry(dev);
     bool closed = false;
     std::shared_ptr<JobState> job =
-        own.pop_for(options_.steal_poll_seconds, &closed);
+        can_steal ? own.pop_for(kStealPollSeconds, &closed) : own.pop();
     if (broker_) broker_->leave_hungry(dev);
-    if (job) {
+    // A null job with nothing to steal from, or from a closed shard, means
+    // the own shard is closed and drained: exit. Sibling leftovers belong
+    // to their own workers, which only exit once their shard is drained
+    // too.
+    if (job || closed || !can_steal) {
       book_idle();
       return job;
-    }
-    if (closed) {
-      // Own shard closed AND empty (pop_for would have returned a job
-      // otherwise): exit. Sibling leftovers belong to their own workers,
-      // which only exit once their shard is drained too.
-      book_idle();
-      return nullptr;
     }
   }
 }
@@ -689,7 +646,7 @@ ServiceStats SolveService::stats() const {
   s.steal_jobs = steal_jobs_->value();
   s.steal_nodes = steal_nodes_->value();
   if (broker_) s.broker = broker_->stats();
-  s.cache = cache_->stats();
+  s.cache = cache_.stats();
   s.queues.reserve(queues_.size());
   for (const auto& q : queues_) s.queues.push_back(q->stats());
   s.jobs_per_worker.reserve(jobs_per_worker_.size());

@@ -86,11 +86,6 @@ struct ServiceOptions {
   /// pre-sharding service exactly (blocking per-shard pops, no broker).
   StealTiers steal_tiers = StealTiers::kNone;
 
-  /// With stealing on: how long an everything-empty worker sleeps on its
-  /// own shard before rescanning steal targets. Small enough that remote
-  /// demand is noticed promptly, large enough not to spin.
-  double steal_poll_seconds = 0.002;
-
   /// Per-shard JobQueue capacity.
   std::size_t queue_capacity = 256;
 
@@ -98,19 +93,13 @@ struct ServiceOptions {
   /// (backpressure) or reject the job.
   JobQueue::FullPolicy full_policy = JobQueue::FullPolicy::kBlock;
 
-  /// Completed-entry capacity of the ResultCache (ignored when `cache` is
-  /// provided).
+  /// Completed-entry capacity of the service's ResultCache.
   std::size_t cache_capacity = 1024;
 
-  /// Cost-aware cache admission (ignored when `cache` is provided): solves
-  /// cheaper than this many seconds are not stored, so floods of tiny
-  /// instances cannot evict expensive records. 0 keeps the old
-  /// store-everything behavior.
+  /// Cost-aware cache admission: solves cheaper than this many seconds are
+  /// not stored, so floods of tiny instances cannot evict expensive
+  /// records. 0 keeps the old store-everything behavior.
   double min_cache_seconds = 0.0;
-
-  /// Share an external cache (e.g. one a harness::Runner already warmed).
-  /// Null: the service creates its own.
-  std::shared_ptr<ResultCache> cache;
 
   /// The machine's virtual device, partitioned across workers when
   /// `partition_device` is set.
@@ -129,8 +118,7 @@ struct ServiceOptions {
   /// records always describe the device they ran on. false: every job
   /// runs with the device spec it was submitted with — required when
   /// results must be bit-identical to direct solve() calls of that
-  /// config, or when sharing the cache with a direct-call memoizer
-  /// (harness::Runner) whose entries are keyed on unsliced devices.
+  /// config.
   bool partition_device = true;
 };
 
@@ -264,17 +252,11 @@ class SolveService {
     return worker_devices_[static_cast<std::size_t>(w)];
   }
 
-  int num_devices() const { return static_cast<int>(device_slices_.size()); }
+  int num_devices() const { return options_.num_devices; }
 
   /// The device worker `w` is pinned to (its tier-1 steal domain).
   int device_of_worker(int w) const {
     return worker_device_[static_cast<std::size_t>(w)];
-  }
-
-  /// Device slice `d` of the machine (== `options.device` when
-  /// num_devices == 1).
-  const device::DeviceSpec& device_slice(int d) const {
-    return device_slices_[static_cast<std::size_t>(d)];
   }
 
   /// The shard a key routes to under `num_shards` queues — exposed so
@@ -287,8 +269,6 @@ class SolveService {
   /// Tier-2 broker (null unless steal_tiers == kJobsAndNodes with more
   /// than one device). Exposed for conservation checks in tests.
   const worklist::DeviceBroker* broker() const { return broker_.get(); }
-
-  const std::shared_ptr<ResultCache>& cache() const { return cache_; }
 
   ServiceStats stats() const;
 
@@ -307,11 +287,12 @@ class SolveService {
   ServiceOptions options_;
   /// Per-worker phase profile; sized from the clamped worker count.
   obs::PhaseTable phase_table_;
-  std::shared_ptr<ResultCache> cache_;
-  std::vector<device::DeviceSpec> device_slices_;   ///< one per device
+  ResultCache cache_;
   std::vector<device::DeviceSpec> worker_devices_;  ///< one per worker
-  std::vector<int> worker_device_;               ///< worker -> device
-  std::vector<std::vector<int>> device_workers_; ///< device -> its workers
+  std::vector<int> worker_device_;                  ///< worker -> device
+  /// worker -> the sibling shards on its device it steals queued jobs
+  /// from (tier 1); empty under StealTiers::kNone.
+  std::vector<std::vector<int>> steal_victims_;
   std::unique_ptr<worklist::DeviceBroker> broker_;  ///< tier 2; may be null
   std::vector<std::unique_ptr<JobQueue>> queues_;
   std::vector<std::thread> workers_;
@@ -347,13 +328,27 @@ class SolveService {
   int shard_of(const CacheKey& key) const;
   /// Queues one corpus chunk as a batch job (round-robin shard, no cache).
   JobTicket submit_batch_job(JobSpec spec);
+  /// The one admission step behind submit() and submit_batch_job(): makes
+  /// the job, refuses it after shutdown, consults the cache (non-batch
+  /// jobs only: hit, coalesce, or register), and pushes it onto `shard`
+  /// with its absolute deadline. A refused push drops the job.
+  JobTicket admit(JobSpec spec, const CacheKey& key, int shard);
+  /// Ends a job that never ran a solve: releases its cache registration,
+  /// counts it under `status` (kRejected, kExpired or kCancelled),
+  /// observes its latency and finishes it with a coverless placeholder.
+  /// `queue_s` >= 0 is its time in a shard queue; < 0: it never entered
+  /// one. A job a cancel already made terminal keeps the times the
+  /// canceller stamped (finish() is then a no-op).
+  void drop(JobState& job, JobStatus status, double queue_s);
   void worker_loop(int w);
-  /// The steal-tiers job source: own shard, then tier-1 siblings, then a
-  /// tier-2 migrated node, then a bounded hungry sleep; loops until a job
-  /// arrives or the own shard is closed-and-drained (returns null). The
-  /// whole wait is booked as kIdle except migrated-node runs (kSteal).
-  std::shared_ptr<JobState> acquire_job_stealing(
-      int w, parallel::SolveWorkspace& workspace);
+  /// Every worker's job source: own shard, then tier-1 sibling shards,
+  /// then a tier-2 migrated node (with a broker), then a wait on the own
+  /// shard — timed when there is anything to steal from, so the scan
+  /// repeats; a plain blocking pop otherwise. Loops until a job arrives
+  /// or the own shard is closed and drained (returns null). The whole
+  /// wait is booked as kIdle except migrated-node runs (kSteal).
+  std::shared_ptr<JobState> acquire_job(int w,
+                                        parallel::SolveWorkspace& workspace);
   /// Stamp one terminal job's latencies into the histograms. `queued`: the
   /// job entered a shard queue (queue_s is meaningful); `solved`: a worker
   /// ran a solve for it. Workers call this BEFORE JobState::finish() wakes

@@ -25,8 +25,6 @@ class Table {
   /// Render with single-space-padded columns and a header rule.
   std::string render() const;
 
-  std::size_t num_rows() const { return rows_.size(); }
-
  private:
   struct Row {
     std::vector<std::string> cells;

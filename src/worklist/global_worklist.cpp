@@ -14,6 +14,7 @@ GlobalWorklist::GlobalWorklist(std::size_t capacity, std::size_t threshold,
 void GlobalWorklist::add(vc::DegreeArray node) {
   GVC_CHECK_MSG(queue_.try_push(std::move(node)), "worklist full while seeding");
   adds_.fetch_add(1, std::memory_order_relaxed);
+  note_size();
   idle_.notify();
 }
 
@@ -24,14 +25,18 @@ bool GlobalWorklist::try_donate(vc::DegreeArray&& node) {
     return false;
   }
   adds_.fetch_add(1, std::memory_order_relaxed);
-  std::uint64_t sz = queue_.size_approx();
+  note_size();
+  // Wake one sleeper; it will either take this entry or re-sleep.
+  idle_.notify();
+  return true;
+}
+
+void GlobalWorklist::note_size() {
+  const std::uint64_t sz = queue_.size_approx();
   std::uint64_t prev = max_size_.load(std::memory_order_relaxed);
   while (sz > prev &&
          !max_size_.compare_exchange_weak(prev, sz, std::memory_order_relaxed)) {
   }
-  // Wake one sleeper; it will either take this entry or re-sleep.
-  idle_.notify();
-  return true;
 }
 
 GlobalWorklist::RemoveOutcome GlobalWorklist::remove(vc::DegreeArray& out) {

@@ -86,6 +86,10 @@ class GlobalWorklist {
   std::size_t threshold_;
   IdleTermination idle_;
 
+  /// Raises max_size_ to the queue's current size (CAS max); every push
+  /// calls it.
+  void note_size();
+
   std::atomic<std::uint64_t> adds_{0};
   std::atomic<std::uint64_t> removes_{0};
   std::atomic<std::uint64_t> rejected_threshold_{0};

@@ -405,7 +405,6 @@ TEST(RandomDifferential, NodeMigrationPreservesTheOptimum) {
   opts.num_workers = 4;
   opts.num_devices = 2;
   opts.steal_tiers = service::StealTiers::kJobsAndNodes;
-  opts.steal_poll_seconds = 0.001;
   service::SolveService svc(opts);
 
   struct Expected {

@@ -81,7 +81,7 @@ TEST(DeadOwner, AdoptionAndOwnerGuardedSweep) {
   EXPECT_EQ(out.best_size, 3);
 }
 
-TEST(DeadOwner, UnguardedAbandonStillDropsOwnRegistration) {
+TEST(DeadOwner, OwnerAbandonDropsOwnRegistration) {
   ResultCache cache(16);
   const CacheKey k = key_of(2);
   parallel::ParallelResult out;

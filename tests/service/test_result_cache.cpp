@@ -40,12 +40,35 @@ std::shared_ptr<JobState> job_for(const CacheKey& k, JobId id = 1,
   return std::make_shared<JobState>(id, std::move(spec), k);
 }
 
-TEST(ResultCache, LookupMissThenInsertThenHit) {
+/// Stores `r` under `k` the way the service does: a fresh job acquires the
+/// key (a miss) and completes it as the owner.
+void store(ResultCache& cache, const CacheKey& k,
+           const parallel::ParallelResult& r) {
+  auto job = job_for(k, 100);
+  ASSERT_EQ(cache.acquire(k, job, nullptr, nullptr),
+            ResultCache::Outcome::kMiss);
+  cache.complete(k, r, job.get());
+}
+
+/// True if `k` serves a completed entry (filling `*out`). A probe that
+/// misses registers its job, so it abandons the key again to leave the
+/// cache as it found it.
+bool probe(ResultCache& cache, const CacheKey& k,
+           parallel::ParallelResult* out = nullptr) {
+  auto job = job_for(k, 200);
+  const ResultCache::Outcome o = cache.acquire(k, job, out, nullptr);
+  if (o == ResultCache::Outcome::kMiss) cache.abandon(k, job.get());
+  return o == ResultCache::Outcome::kHit;
+}
+
+TEST(ResultCache, MissThenCompleteThenHit) {
   ResultCache cache(4);
+  auto owner = job_for(key_of(1), 1);
+  EXPECT_EQ(cache.acquire(key_of(1), owner, nullptr, nullptr),
+            ResultCache::Outcome::kMiss);
+  cache.complete(key_of(1), result_of(7), owner.get());
   parallel::ParallelResult out;
-  EXPECT_FALSE(cache.lookup(key_of(1), &out));
-  cache.insert(key_of(1), result_of(7));
-  ASSERT_TRUE(cache.lookup(key_of(1), &out));
+  ASSERT_TRUE(probe(cache, key_of(1), &out));
   EXPECT_EQ(out.best_size, 7);
   EXPECT_EQ(out.tree_nodes, 70u);
 
@@ -58,15 +81,15 @@ TEST(ResultCache, LookupMissThenInsertThenHit) {
 
 TEST(ResultCache, LruEvictsOldestCompletedEntry) {
   ResultCache cache(2);
-  cache.insert(key_of(1), result_of(1));
-  cache.insert(key_of(2), result_of(2));
+  store(cache, key_of(1), result_of(1));
+  store(cache, key_of(2), result_of(2));
   // Touch 1 so 2 becomes the LRU victim.
-  ASSERT_TRUE(cache.lookup(key_of(1), nullptr));
-  cache.insert(key_of(3), result_of(3));
+  ASSERT_TRUE(probe(cache, key_of(1)));
+  store(cache, key_of(3), result_of(3));
 
-  EXPECT_TRUE(cache.lookup(key_of(1), nullptr));
-  EXPECT_FALSE(cache.lookup(key_of(2), nullptr));
-  EXPECT_TRUE(cache.lookup(key_of(3), nullptr));
+  EXPECT_TRUE(probe(cache, key_of(1)));
+  EXPECT_FALSE(probe(cache, key_of(2)));
+  EXPECT_TRUE(probe(cache, key_of(3)));
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.stats().completed_entries, 2u);
 }
@@ -89,7 +112,7 @@ TEST(ResultCache, AcquireMissRegistersInflightOwner) {
   EXPECT_EQ(cache.stats().inflight_hits, 1u);
 
   // Completion flips the entry to a served hit.
-  cache.complete(k, result_of(5));
+  cache.complete(k, result_of(5), owner.get());
   parallel::ParallelResult got;
   EXPECT_EQ(cache.acquire(k, job_for(k, 3), &got, nullptr),
             ResultCache::Outcome::kHit);
@@ -101,9 +124,10 @@ TEST(ResultCache, AcquireMissRegistersInflightOwner) {
 TEST(ResultCache, AbandonDropsInflightRegistration) {
   ResultCache cache(4);
   const CacheKey k = key_of(11);
-  ASSERT_EQ(cache.acquire(k, job_for(k), nullptr, nullptr),
+  auto owner = job_for(k);
+  ASSERT_EQ(cache.acquire(k, owner, nullptr, nullptr),
             ResultCache::Outcome::kMiss);
-  cache.abandon(k);
+  cache.abandon(k, owner.get());
   EXPECT_EQ(cache.stats().inflight_entries, 0u);
   // The key is claimable again.
   EXPECT_EQ(cache.acquire(k, job_for(k, 2), nullptr, nullptr),
@@ -112,42 +136,63 @@ TEST(ResultCache, AbandonDropsInflightRegistration) {
 
 TEST(ResultCache, AbandonNeverDropsCompletedEntries) {
   ResultCache cache(4);
-  cache.insert(key_of(1), result_of(1));
-  cache.abandon(key_of(1));
-  EXPECT_TRUE(cache.lookup(key_of(1), nullptr));
+  auto owner = job_for(key_of(1));
+  ASSERT_EQ(cache.acquire(key_of(1), owner, nullptr, nullptr),
+            ResultCache::Outcome::kMiss);
+  cache.complete(key_of(1), result_of(1), owner.get());
+  cache.abandon(key_of(1), owner.get());
+  EXPECT_TRUE(probe(cache, key_of(1)));
 }
 
 TEST(ResultCache, InflightEntriesArePinnedAcrossEviction) {
   ResultCache cache(1);
   const CacheKey pinned = key_of(50);
-  ASSERT_EQ(cache.acquire(pinned, job_for(pinned), nullptr, nullptr),
+  auto owner = job_for(pinned);
+  ASSERT_EQ(cache.acquire(pinned, owner, nullptr, nullptr),
             ResultCache::Outcome::kMiss);
   // Churn completed entries through the 1-slot LRU.
-  cache.insert(key_of(1), result_of(1));
-  cache.insert(key_of(2), result_of(2));
-  cache.insert(key_of(3), result_of(3));
+  store(cache, key_of(1), result_of(1));
+  store(cache, key_of(2), result_of(2));
+  store(cache, key_of(3), result_of(3));
   // The in-flight registration survived; completing it serves hits.
-  cache.complete(pinned, result_of(50));
+  cache.complete(pinned, result_of(50), owner.get());
   parallel::ParallelResult out;
-  ASSERT_TRUE(cache.lookup(pinned, &out));
+  ASSERT_TRUE(probe(cache, pinned, &out));
   EXPECT_EQ(out.best_size, 50);
 }
 
 TEST(ResultCache, FirstResultWinsOnDoubleComplete) {
+  // A kBypass job (same key, different budgets) may finish before the
+  // registered owner: whichever completes first stores the record, and
+  // the other's complete() only refreshes recency.
   ResultCache cache(4);
-  cache.insert(key_of(1), result_of(1));
-  cache.insert(key_of(1), result_of(2));  // racing memoizer: ignored
+  const CacheKey k = key_of(1);
+  auto owner = job_for(k, 1);
+  ASSERT_EQ(cache.acquire(k, owner, nullptr, nullptr),
+            ResultCache::Outcome::kMiss);
+  auto bypass = job_for(k, 2, {}, 5.0);
+  ASSERT_EQ(cache.acquire(k, bypass, nullptr, nullptr),
+            ResultCache::Outcome::kBypass);
+  cache.complete(k, result_of(1), bypass.get());
+  cache.complete(k, result_of(2), owner.get());  // second: ignored
   parallel::ParallelResult out;
-  ASSERT_TRUE(cache.lookup(key_of(1), &out));
+  ASSERT_TRUE(probe(cache, k, &out));
   EXPECT_EQ(out.best_size, 1);
   EXPECT_EQ(cache.stats().completed_entries, 1u);
+  EXPECT_EQ(cache.stats().inflight_entries, 0u);
 }
 
 TEST(ResultCache, HitRatioCountsServedOverProbes) {
   ResultCache cache(4);
-  cache.insert(key_of(1), result_of(1));
-  cache.lookup(key_of(1), nullptr);  // hit
-  cache.lookup(key_of(2), nullptr);  // miss
+  auto owner = job_for(key_of(1));
+  ASSERT_EQ(cache.acquire(key_of(1), owner, nullptr, nullptr),
+            ResultCache::Outcome::kMiss);                           // miss
+  cache.complete(key_of(1), result_of(1), owner.get());
+  EXPECT_TRUE(probe(cache, key_of(1)));                             // hit
+  EXPECT_EQ(cache.acquire(key_of(1), job_for(key_of(1), 2), nullptr,
+                          nullptr),
+            ResultCache::Outcome::kHit);                            // hit
+  EXPECT_FALSE(probe(cache, key_of(2)));                            // miss
   EXPECT_DOUBLE_EQ(cache.stats().hit_ratio(), 0.5);
 }
 
@@ -158,14 +203,14 @@ TEST(ResultCache, RefusesIncompleteOutcomes) {
   for (vc::Outcome o : {vc::Outcome::kFeasible, vc::Outcome::kNodeLimit,
                         vc::Outcome::kTimeLimit, vc::Outcome::kDeadline,
                         vc::Outcome::kCancelled}) {
-    cache.insert(key_of(1), result_of(1, o));
-    EXPECT_FALSE(cache.lookup(key_of(1), nullptr)) << vc::to_string(o);
+    store(cache, key_of(1), result_of(1, o));
+    EXPECT_FALSE(probe(cache, key_of(1))) << vc::to_string(o);
   }
   EXPECT_EQ(cache.stats().refused, 5u);
   EXPECT_EQ(cache.stats().completed_entries, 0u);
   // Complete outcomes are admitted.
-  cache.insert(key_of(1), result_of(1, vc::Outcome::kInfeasible));
-  EXPECT_TRUE(cache.lookup(key_of(1), nullptr));
+  store(cache, key_of(1), result_of(1, vc::Outcome::kInfeasible));
+  EXPECT_TRUE(probe(cache, key_of(1)));
 }
 
 TEST(ResultCache, RefusalReleasesInflightRegistration) {
@@ -183,25 +228,34 @@ TEST(ResultCache, RefusalReleasesInflightRegistration) {
             ResultCache::Outcome::kMiss);
 }
 
-TEST(ResultCache, StalenessUpgradeReplacesIncompleteEntry) {
-  // An incomplete record stored by a pre-policy writer is upgraded by the
-  // first complete record, never the other way around.
+TEST(ResultCache, StoredEntryIsNeverDowngraded) {
+  // A complete record, once stored, is not replaced by a later incomplete
+  // one for the same key.
   ResultCache cache(4);
-  cache.insert(key_of(1), result_of(9, vc::Outcome::kOptimal));
-  cache.insert(key_of(1), result_of(5, vc::Outcome::kFeasible));  // ignored
+  const CacheKey k = key_of(1);
+  auto owner = job_for(k, 1);
+  ASSERT_EQ(cache.acquire(k, owner, nullptr, nullptr),
+            ResultCache::Outcome::kMiss);
+  vc::Limits tight;
+  tight.max_tree_nodes = 3;
+  auto bypass = job_for(k, 2, tight);
+  ASSERT_EQ(cache.acquire(k, bypass, nullptr, nullptr),
+            ResultCache::Outcome::kBypass);
+  cache.complete(k, result_of(9, vc::Outcome::kOptimal), owner.get());
+  cache.complete(k, result_of(5, vc::Outcome::kFeasible), bypass.get());
   parallel::ParallelResult out;
-  ASSERT_TRUE(cache.lookup(key_of(1), &out));
+  ASSERT_TRUE(probe(cache, k, &out));
   EXPECT_EQ(out.best_size, 9);
 }
 
 TEST(ResultCache, MinCacheSecondsSkipsCheapSolves) {
   ResultCache cache(4, /*min_cache_seconds=*/0.5);
   EXPECT_DOUBLE_EQ(cache.min_cache_seconds(), 0.5);
-  cache.insert(key_of(1), result_of(1, vc::Outcome::kOptimal, 0.001));
-  EXPECT_FALSE(cache.lookup(key_of(1), nullptr));
+  store(cache, key_of(1), result_of(1, vc::Outcome::kOptimal, 0.001));
+  EXPECT_FALSE(probe(cache, key_of(1)));
   EXPECT_EQ(cache.stats().refused, 1u);
-  cache.insert(key_of(2), result_of(2, vc::Outcome::kOptimal, 0.75));
-  EXPECT_TRUE(cache.lookup(key_of(2), nullptr));
+  store(cache, key_of(2), result_of(2, vc::Outcome::kOptimal, 0.75));
+  EXPECT_TRUE(probe(cache, key_of(2)));
   EXPECT_EQ(cache.stats().completed_entries, 1u);
 }
 
@@ -220,8 +274,8 @@ TEST(ResultCache, MinCacheSecondsReleasesInflightRegistration) {
 
 TEST(ResultCache, ZeroMinCacheSecondsStoresEverythingComplete) {
   ResultCache cache(4);  // default 0
-  cache.insert(key_of(1), result_of(1, vc::Outcome::kOptimal, 0.0));
-  EXPECT_TRUE(cache.lookup(key_of(1), nullptr));
+  store(cache, key_of(1), result_of(1, vc::Outcome::kOptimal, 0.0));
+  EXPECT_TRUE(probe(cache, key_of(1)));
 }
 
 TEST(ResultCache, DifferentBudgetsBypassInsteadOfCoalescing) {
@@ -252,22 +306,28 @@ TEST(ResultCache, DifferentBudgetsBypassInsteadOfCoalescing) {
 }
 
 TEST(ResultCache, RefusalIsOwnerGuarded) {
-  // A memoizing insert() whose record is refused (cheap solve under
-  // min_cache_seconds, or an incomplete outcome) must not tear down a
-  // different job's live in-flight registration.
+  // A bypass job's refused record (cheap solve under min_cache_seconds,
+  // or an incomplete outcome) must not tear down the owner's live
+  // in-flight registration.
   ResultCache cache(4, /*min_cache_seconds=*/0.5);
   const CacheKey k = key_of(51);
   auto owner = job_for(k, 1);
   ASSERT_EQ(cache.acquire(k, owner, nullptr, nullptr),
             ResultCache::Outcome::kMiss);
 
-  cache.insert(k, result_of(3, vc::Outcome::kOptimal, 0.001));  // refused
+  vc::Limits tight;
+  tight.max_tree_nodes = 3;
+  auto bypass = job_for(k, 2, tight);
+  ASSERT_EQ(cache.acquire(k, bypass, nullptr, nullptr),
+            ResultCache::Outcome::kBypass);
+  cache.complete(k, result_of(3, vc::Outcome::kOptimal, 0.001),
+                 bypass.get());  // refused: too cheap
   EXPECT_EQ(cache.stats().inflight_entries, 1u);  // registration survives
-  cache.complete(k, result_of(3, vc::Outcome::kCancelled), nullptr);
+  cache.complete(k, result_of(3, vc::Outcome::kCancelled), bypass.get());
   EXPECT_EQ(cache.stats().inflight_entries, 1u);
 
-  // A refusal from a non-owner job is equally a no-op...
-  auto stranger = job_for(k, 2);
+  // A refusal from a job that never acquired the key is equally a no-op...
+  auto stranger = job_for(k, 3);
   cache.complete(k, result_of(3, vc::Outcome::kCancelled), stranger.get());
   EXPECT_EQ(cache.stats().inflight_entries, 1u);
   // ...while the owner's own refusal releases the key.

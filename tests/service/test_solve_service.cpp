@@ -11,7 +11,6 @@
 #include "graph/generators.hpp"
 #include "graph/ops.hpp"
 #include "harness/catalog.hpp"
-#include "harness/runner.hpp"
 
 namespace gvc::service {
 namespace {
@@ -351,47 +350,6 @@ TEST(SolveService, SubmitAfterShutdownIsRejected) {
   spec.method = Method::kSequential;
   JobTicket t = svc.submit(std::move(spec));
   EXPECT_EQ(t.state->wait(), JobStatus::kRejected);
-}
-
-TEST(SolveService, SharesWarmEntriesWithHarnessRunner) {
-  // satellite: a harness run's min-cover memo and the service speak the
-  // same cache. Solving via the Runner first makes the identical service
-  // submission a pure cache hit.
-  auto cache = std::make_shared<ResultCache>(64);
-
-  harness::RunnerOptions ropts;
-  ropts.limits.max_tree_nodes = 200000;
-  ropts.worklist_capacity = 512;
-  ropts.start_depth = 4;
-  ropts.cache = cache;
-  harness::Runner runner(ropts);
-
-  auto catalog = harness::paper_catalog(harness::Scale::kSmoke);
-  const harness::Instance& inst =
-      harness::find_instance(catalog, "US_power_grid");
-  const int min = runner.min_cover(inst);
-
-  ServiceOptions opts;
-  opts.num_workers = 2;
-  opts.cache = cache;
-  // Sharing with a direct-call memoizer requires executing submitted
-  // configs verbatim: with partitioning, keys would encode worker slices
-  // the Runner never used.
-  opts.partition_device = false;
-  SolveService svc(opts);
-
-  // Reconstruct the exact request min_cover() memoized (limits are not
-  // part of the key, so only the config knobs matter).
-  ParallelConfig c = runner.make_config(harness::ProblemInstance::kMvc, 0);
-
-  JobSpec spec;
-  spec.graph = share(inst.graph());
-  spec.method = Method::kHybrid;
-  spec.config = c;
-  JobTicket t = svc.submit(std::move(spec));
-  EXPECT_TRUE(t.cache_hit);
-  EXPECT_EQ(svc.wait(t).best_size, min);
-  EXPECT_EQ(svc.stats().completed, 0u);  // no solve ran
 }
 
 }  // namespace

@@ -94,7 +94,6 @@ TEST(StealTiers, SkewedFloodConservesJobsAndNodes) {
   opts.num_devices = 2;
   opts.steal_tiers = StealTiers::kJobsAndNodes;
   opts.queue_capacity = 128;
-  opts.steal_poll_seconds = 0.001;
   auto svc = std::make_unique<SolveService>(opts);
   ASSERT_EQ(svc->num_devices(), 2);
   ASSERT_NE(svc->broker(), nullptr);

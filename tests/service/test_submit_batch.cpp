@@ -156,6 +156,67 @@ TEST(SubmitBatch, BatchJobsBypassTheResultCache) {
     EXPECT_EQ(r.best_size, records.front().best_size);
 }
 
+TEST(SubmitBatch, AdmissionRefusalsAreCountedAndSkipTheCache) {
+  ServiceOptions opts;
+  opts.num_workers = 2;
+  opts.corpus_chunk_size = 4;
+  SolveService svc(opts);
+
+  // A deadline that has passed by the time each chunk reaches its shard:
+  // the push refuses it, so no worker ever sees it.
+  CorpusOptions late;
+  late.deadline_s = 1e-9;
+  {
+    std::istringstream in(make_gspan_corpus(8, 900));
+    graph::CorpusReader reader(in);
+    CorpusSubmission sub = svc.submit_batch(reader, late);
+    ASSERT_EQ(sub.tickets.size(), 2u);
+    for (const auto& t : sub.tickets) {
+      EXPECT_EQ(t.state->wait(), JobStatus::kExpired);
+      EXPECT_EQ(svc.wait(t).outcome, vc::Outcome::kDeadline);
+      EXPECT_TRUE(t.state->batch_results().empty());
+    }
+  }
+  ServiceStats s = svc.stats();
+  EXPECT_EQ(s.expired, 2u);
+  std::uint64_t refused_expired = 0, pushed = 0;
+  for (const auto& q : s.queues) {
+    refused_expired += q.rejected_expired;
+    pushed += q.pushed;
+  }
+  EXPECT_EQ(refused_expired, 2u);
+  EXPECT_EQ(pushed, 0u);
+
+  // After shutdown every chunk is refused before it reaches a shard.
+  svc.shutdown();
+  {
+    std::istringstream in(make_gspan_corpus(8, 901));
+    graph::CorpusReader reader(in);
+    CorpusSubmission sub = svc.submit_batch(reader);
+    ASSERT_EQ(sub.tickets.size(), 2u);
+    for (const auto& t : sub.tickets) {
+      EXPECT_EQ(t.state->status(), JobStatus::kRejected);
+      EXPECT_EQ(svc.wait(t).outcome, vc::Outcome::kCancelled);
+      EXPECT_TRUE(t.state->batch_results().empty());
+    }
+  }
+  s = svc.stats();
+  EXPECT_EQ(s.rejected, 2u);
+  EXPECT_EQ(s.expired, 2u);
+  EXPECT_EQ(s.submitted, 4u);
+  EXPECT_EQ(s.completed, 0u);
+  EXPECT_EQ(s.corpus_graphs_solved, 0u);
+  EXPECT_EQ(s.e2e_latency.count, 4u);  // one sample per refused chunk
+  EXPECT_EQ(s.queue_wait.count, 0u);   // none entered a queue
+
+  // Neither refusal touched the cache.
+  EXPECT_EQ(s.cache.hits, 0u);
+  EXPECT_EQ(s.cache.misses, 0u);
+  EXPECT_EQ(s.cache.inflight_hits, 0u);
+  EXPECT_EQ(s.cache.inflight_entries, 0u);
+  EXPECT_EQ(s.cache.completed_entries, 0u);
+}
+
 TEST(SubmitBatch, TicketAggregateSummarizesTheChunk) {
   ServiceOptions opts;
   opts.num_workers = 1;

@@ -136,6 +136,14 @@ TEST(GlobalWorklist, MaxSizeSeenTracksPeak) {
   EXPECT_EQ(wl.stats().max_size_seen, 5u);
 }
 
+TEST(GlobalWorklist, SeedAddCountsTowardMaxSizeSeen) {
+  auto g = graph::cycle(4);
+  GlobalWorklist wl(16, 0, 1);  // threshold 0: only the seed ever enters
+  wl.add(root(g));
+  EXPECT_EQ(wl.stats().adds, 1u);
+  EXPECT_EQ(wl.stats().max_size_seen, 1u);
+}
+
 // ---- IdleTermination: the all-idle protocol GlobalWorklist::remove and
 // WorkStealing's victim scan both run.
 
